@@ -2,15 +2,18 @@
 //! Table III corpus, with the fault-injection harness armed.
 //!
 //! For every fixed-variant design the example runs the checker twice: once
-//! fault-free, once with **one armed panic site** (`bmc.depth_step`,
-//! filtered to one safety assertion) and **one forced timeout**
-//! (`fuzz.round`, filtered to another).  It then asserts the degradation
-//! contract the fault-containment layer promises:
+//! fault-free, once with **two armed panic sites** (`bmc.depth_step`,
+//! filtered to one safety assertion, and `opt.pass`, filtered to a third
+//! checked property whose slice the optimizer prepares before any engine
+//! runs) and **one forced timeout** (`fuzz.round`, filtered to another
+//! safety assertion).  It then asserts the degradation contract the
+//! fault-containment layer promises:
 //!
 //! * the process exits 0 — no panic escapes `verify`, the report always
 //!   renders;
 //! * the panic target degrades to exactly `ERROR in bmc: fault injected
-//!   at bmc.depth_step`;
+//!   at bmc.depth_step`, and the optimizer target to exactly `ERROR in
+//!   opt: fault injected at opt.pass`;
 //! * the timeout target degrades to exactly `unknown` with the
 //!   `undecided: budget exhausted in fuzz` note;
 //! * every *other* property's rendered verdict is byte-identical to the
@@ -97,7 +100,16 @@ fn main() {
             continue;
         };
 
+        // Every property has its own slice (slice fingerprints cover the
+        // property name), so an optimizer panic degrades only its target.
+        let opt_target = baseline
+            .checked()
+            .map(|r| r.name.clone())
+            .find(|name| name != panic_target && name != timeout_target)
+            .unwrap_or_else(|| panic!("{}: no third checked property", case.id));
+
         let faulty = {
+            let _opt_arm = faults::arm("opt.pass", FaultAction::Panic, Some(opt_target.as_str()));
             let _panic_arm = faults::arm(
                 "bmc.depth_step",
                 FaultAction::Panic,
@@ -120,7 +132,7 @@ fn main() {
             case.id
         );
 
-        // Exactly the two targeted properties degrade, exactly as promised.
+        // Exactly the targeted properties degrade, exactly as promised.
         let panicked = row(&faulty, panic_target);
         assert_eq!(
             panicked.status,
@@ -129,6 +141,15 @@ fn main() {
                 message: "fault injected at bmc.depth_step".to_string(),
             },
             "{}: panic target `{panic_target}` has the wrong verdict",
+            case.id
+        );
+        assert_eq!(
+            row(&faulty, &opt_target).status,
+            PropertyStatus::Error {
+                engine: "opt",
+                message: "fault injected at opt.pass".to_string(),
+            },
+            "{}: optimizer target `{opt_target}` has the wrong verdict",
             case.id
         );
         let timed_out = row(&faulty, timeout_target);
@@ -149,7 +170,7 @@ fn main() {
         assert_eq!(baseline.results.len(), faulty.results.len());
         for (b, f) in baseline.results.iter().zip(&faulty.results) {
             assert_eq!(b.name, f.name, "{}: property order changed", case.id);
-            if &b.name == panic_target || &b.name == timeout_target {
+            if [panic_target, timeout_target, &opt_target].contains(&&b.name) {
                 continue;
             }
             assert_eq!(
@@ -162,10 +183,10 @@ fn main() {
         }
         cases_checked += 1;
         println!(
-            "{:3}: panic contained in `{panic_target}`, timeout contained in `{timeout_target}`, \
-             {} other verdicts unchanged",
+            "{:3}: panic contained in `{panic_target}`, optimizer panic in `{opt_target}`, \
+             timeout in `{timeout_target}`, {} other verdicts unchanged",
             case.id,
-            baseline.results.len() - 2
+            baseline.results.len() - 3
         );
     }
     assert!(

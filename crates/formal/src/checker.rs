@@ -38,8 +38,8 @@ use crate::pdr::{
     check_pdr_budgeted, check_pdr_budgeted_lemmas, FrameLemma, PdrOptions, PdrResult,
 };
 use crate::portfolio::{
-    racer_configs, run_ordered, CacheKey, CacheStats, CachedOutcome, CachedVerdict,
-    ParallelOptions, PoolKind, ProofCache, SharedPools, SharingOptions,
+    racer_configs, run_phased, CacheKey, CacheStats, CachedOutcome, CachedVerdict, ParallelOptions,
+    PoolKind, ProofCache, SharedPools, SharingOptions,
 };
 use crate::sat::{SolverConfig, SolverStats};
 use crate::telemetry::{
@@ -696,7 +696,7 @@ fn verify_elaborated_inner(
     }
     frontend_check(frontend, "lint")?;
 
-    let tasks = build_tasks(&compiled, options);
+    let (jobs, job_of) = plan_slices(&compiled, options);
     // The effective proof cache: an explicit in-process handle wins;
     // otherwise a configured cache directory opens a disk-backed cache for
     // this run (flushed below, so the next process reloads the verdicts).
@@ -709,14 +709,12 @@ fn verify_elaborated_inner(
     // even when the handle is a long-lived in-process cache shared across
     // runs (`loaded` stays absolute — it describes the open).
     let cache_base = cache.as_ref().map(|c| c.stats());
-    let seeds = build_seed_plans(&tasks, &options.sharing);
     let ctx = TaskCtx {
         options,
         cache,
         cancel: Arc::new(AtomicBool::new(false)),
         explicit_memo: Mutex::new(HashMap::new()),
         pools: SharedPools::new(),
-        seeds,
     };
 
     // Register the robustness counters up front so a healthy run's
@@ -726,20 +724,27 @@ fn verify_elaborated_inner(
     telemetry::register_counter("robustness.timeouts");
     telemetry::register_counter("robustness.panics_caught");
 
-    // Run every property task on the worker pool; statuses are deterministic
-    // (each engine is single-threaded on a fixed slice), so only runtimes
-    // depend on the interleaving.  Each task runs under its own interrupt
-    // handle (deadline from `property_timeout` plus the shared cancellation
-    // flag, polled inside every engine loop) and inside `catch_unwind`, so
-    // a stalled or panicking engine degrades that one property — the run
-    // always comes back with a complete report.
-    let threads = options.parallel.effective_threads();
+    // Prepare every distinct slice, then run every property task, on one
+    // worker pool.  Prepared models and statuses are deterministic (each
+    // optimizer run and each engine is single-threaded on a fixed slice),
+    // so only runtimes depend on the interleaving.  A preparation step runs
+    // under containment and degrades only the properties on its slice.
+    // Each task runs under its own interrupt handle (deadline from
+    // `property_timeout` plus the shared cancellation flag, polled inside
+    // every engine loop) and inside `catch_unwind`, so a stalled or
+    // panicking engine degrades that one property — the run always comes
+    // back with a complete report.
+    let threads = options
+        .parallel
+        .effective_threads()
+        .min(compiled.properties.len().max(1));
     let names: Vec<String> = compiled
         .properties
         .iter()
         .map(|p| p.property.full_name())
         .collect();
-    let outcomes = run_ordered(&tasks, threads, &ctx.cancel, run_telemetry, |i, task| {
+    let opt_on = options.parallel.opt;
+    let run_one = |i: usize, task: &PropertyTask| {
         let _task_span = telemetry::span("task", &names[i]);
         let t0 = Instant::now();
         let deadline = options
@@ -748,7 +753,7 @@ fn verify_elaborated_inner(
             .and_then(|limit| Instant::now().checked_add(limit));
         let interrupt = Interrupt::new(deadline, None, Some(ctx.cancel.clone()));
         interrupt::set_task_context(&names[i], interrupt.clone());
-        let outcome = match catch_unwind(AssertUnwindSafe(|| run_task(i, task, &ctx, &interrupt))) {
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run_task(task, &ctx, &interrupt))) {
             Ok(outcome) => outcome,
             Err(payload) => {
                 telemetry::count("robustness.panics_caught", 1);
@@ -778,7 +783,16 @@ fn verify_elaborated_inner(
             ctx.cancel.store(true, Ordering::Relaxed);
         }
         (outcome, t0.elapsed())
-    });
+    };
+    let (tasks, outcomes) = run_phased(
+        jobs,
+        threads,
+        &ctx.cancel,
+        run_telemetry,
+        |_, job| prepare_slice(job, opt_on),
+        |prepared| assemble_tasks(&compiled, options, &job_of, prepared),
+        run_one,
+    );
 
     // Assembly in annotation order, independent of completion order.
     let mut results = Vec::with_capacity(tasks.len());
@@ -903,11 +917,16 @@ struct PropertyTask {
     kind: TaskKind,
     cone_latches: usize,
     cone_gates: usize,
+    /// Phase/activity seeds from a high-overlap earlier task (empty when
+    /// there is no donor); see [`build_seed_plans`].
+    seeds: HashMap<usize, SeedHint>,
 }
 
 enum TaskKind {
     /// Resolved at compile time (assumptions, X-prop checks).
     Done(PropertyStatus),
+    /// Slice preparation failed; the status is the contained panic.
+    Failed(PropertyStatus),
     /// Safety assertion `model.bads[index]`.
     Safety {
         model: Arc<Model>,
@@ -931,32 +950,163 @@ enum TaskKind {
     },
 }
 
-/// Builds one task per property.  With slicing enabled (the default) each
-/// checked property gets its cone-of-influence slice; content-identical
-/// slices share one model allocation (and thereby one explicit-engine memo
-/// entry).  With the optimizer additionally enabled (also the default) each
-/// distinct slice is run through the [`crate::opt`] pass — constant
+/// One distinct cone-of-influence slice (by raw fingerprint) awaiting
+/// preparation on the worker pool.
+struct SliceJob {
+    slice: crate::coi::Slice,
+    /// The first property on the slice in annotation order: the task
+    /// context while the slice is prepared, so fault filters and panic
+    /// reports name it.
+    owner: String,
+    /// Whether the slice's liveness-to-safety product is needed (the slice
+    /// is a liveness property's; fingerprints cover property names and
+    /// kinds, so every property on it is a liveness property).
+    needs_l2s: bool,
+}
+
+/// The models of a prepared slice, or the status every property that
+/// depends on a failed preparation step reports.
+type Prepared<T> = std::result::Result<T, PropertyStatus>;
+
+/// A prepared slice: the (optimized) model its engines run on, that
+/// model's fingerprint, and the (optimized) liveness-to-safety product
+/// when a liveness property needs it.
+struct PreparedSlice {
+    model: Arc<Model>,
+    fp: Fingerprint,
+    l2s: Option<Prepared<Arc<LivenessSafetyModel>>>,
+}
+
+/// The note on every property degraded by a failed preparation step.
+pub(crate) const PREP_PANIC_NOTE: &str =
+    "slice preparation panic isolated to the properties on this slice; other verdicts are unaffected";
+
+/// Cuts every checked property's cone-of-influence slice (cheap, on the
+/// calling thread) and returns the distinct slices to prepare, plus each
+/// property's slice index in annotation order.  With slicing disabled
+/// there is nothing to prepare.
+fn plan_slices(
+    compiled: &CompiledTestbench,
+    options: &CheckOptions,
+) -> (Vec<SliceJob>, Vec<Option<usize>>) {
+    let mut jobs: Vec<SliceJob> = Vec::new();
+    let mut job_of = Vec::with_capacity(compiled.properties.len());
+    if !options.parallel.slice {
+        job_of.resize(compiled.properties.len(), None);
+        return (jobs, job_of);
+    }
+    let mut by_fingerprint: HashMap<Fingerprint, usize> = HashMap::new();
+    for prop in &compiled.properties {
+        let target = match prop.kind {
+            CompiledKind::Safety(i) => SliceTarget::Bad(i),
+            CompiledKind::Cover(i) => SliceTarget::Cover(i),
+            CompiledKind::Liveness(i) => SliceTarget::Liveness(i),
+            _ => {
+                job_of.push(None);
+                continue;
+            }
+        };
+        let slice = cone_of_influence(&compiled.model, target);
+        let j = *by_fingerprint.entry(slice.fingerprint).or_insert_with(|| {
+            jobs.push(SliceJob {
+                slice,
+                owner: prop.property.full_name(),
+                needs_l2s: matches!(target, SliceTarget::Liveness(_)),
+            });
+            jobs.len() - 1
+        });
+        job_of.push(Some(j));
+    }
+    (jobs, job_of)
+}
+
+/// Prepares one distinct slice on a pool worker: with the optimizer on
+/// (the default) the slice is run through [`crate::opt`] — constant
 /// sweeping, sequential/combinational equivalence sweeping, dead-node
-/// elimination — before any engine sees it; liveness slices are optimized
-/// first, then transformed via liveness-to-safety, and the product is
-/// optimized again (the order keeps the L2S snapshot sound: the transform
-/// always runs on the model the snapshots will be compared against).  With
-/// slicing disabled every task points at the full compiled model,
-/// preserving the pre-orchestrator cascade behaviour exactly; the
-/// optimizer never runs on that path.
-fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<PropertyTask> {
-    let slice_on = options.parallel.slice;
-    let opt_on = options.parallel.opt;
+/// elimination — before any engine sees it.  A liveness slice is
+/// optimized first, then transformed via liveness-to-safety, and the
+/// product is optimized again (the order keeps the L2S snapshot sound: the
+/// transform always runs on the model the snapshots will be compared
+/// against).  Each step runs under [`contained`], so a panic degrades only
+/// the properties that depend on it.
+fn prepare_slice(job: SliceJob, opt_on: bool) -> Prepared<PreparedSlice> {
+    let SliceJob {
+        slice,
+        owner,
+        needs_l2s,
+    } = job;
+    let (model, fp) = contained(&owner, "opt", || {
+        if opt_on {
+            crate::opt::optimize_with_fingerprint(&slice.model)
+        } else {
+            (slice.model, slice.fingerprint)
+        }
+    })?;
+    let model = Arc::new(model);
+    let l2s = needs_l2s.then(|| {
+        contained(&owner, "l2s", || {
+            let _span = telemetry::span("l2s", &owner);
+            let product = model.to_liveness_safety();
+            if !opt_on {
+                return Arc::new(product);
+            }
+            // The snapshot/monitor plumbing often pins latches the
+            // original cone had already lost.
+            interrupt::set_current_engine("opt");
+            Arc::new(LivenessSafetyModel {
+                model: crate::opt::optimize(&product.model).model,
+                property_names: product.property_names,
+            })
+        })
+    });
+    Ok(PreparedSlice { model, fp, l2s })
+}
+
+/// Runs one preparation step as `owner`'s task with engine tag `engine`,
+/// turning a panic into the [`PropertyStatus::Error`] of the properties
+/// that depend on the step (tagged with the stage that was running).
+fn contained<T>(owner: &str, engine: &'static str, step: impl FnOnce() -> T) -> Prepared<T> {
+    interrupt::set_task_context(owner, Interrupt::none());
+    interrupt::set_current_engine(engine);
+    let outcome = catch_unwind(AssertUnwindSafe(step)).map_err(|payload| {
+        telemetry::count("robustness.panics_caught", 1);
+        PropertyStatus::Error {
+            engine: interrupt::current_engine(),
+            message: panic_message(payload.as_ref()),
+        }
+    });
+    interrupt::clear_task_context();
+    outcome
+}
+
+/// Builds one task per property, in annotation order, from the prepared
+/// slices.  Content-identical slices share one model allocation (and
+/// thereby one explicit-engine memo entry).  With slicing disabled every
+/// task points at the full compiled model, preserving the
+/// pre-orchestrator cascade behaviour exactly; the optimizer never runs on
+/// that path.  Finally every safety task gets its cross-property seed plan
+/// (see [`build_seed_plans`]).
+fn assemble_tasks(
+    compiled: &CompiledTestbench,
+    options: &CheckOptions,
+    job_of: &[Option<usize>],
+    prepared: Vec<Option<Prepared<PreparedSlice>>>,
+) -> Vec<PropertyTask> {
+    // A slot is empty only if preparation escaped its own containment.
+    let prepared: Vec<Prepared<PreparedSlice>> = prepared
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                Err(PropertyStatus::Error {
+                    engine: "opt",
+                    message: "slice preparation did not complete".to_string(),
+                })
+            })
+        })
+        .collect();
     let mut shared_full: Option<(Arc<Model>, Fingerprint)> = None;
     let mut shared_l2s: Option<Arc<LivenessSafetyModel>> = None;
-    // Keyed by the *raw* slice fingerprint so content-identical slices are
-    // optimized at most once; the stored fingerprint is the optimized
-    // model's own (they coincide when the optimizer is off).
-    #[allow(clippy::type_complexity)]
-    let mut slices: HashMap<Fingerprint, (Arc<Model>, Fingerprint)> = HashMap::new();
-    let mut l2s_slices: HashMap<Fingerprint, Arc<LivenessSafetyModel>> = HashMap::new();
-
-    let full = |shared_full: &mut Option<(Arc<Model>, Fingerprint)>| {
+    let mut full = || {
         shared_full
             .get_or_insert_with(|| {
                 let model = Arc::new(compiled.model.clone());
@@ -965,116 +1115,75 @@ fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<Prop
             })
             .clone()
     };
-    let sliced = |slices: &mut HashMap<Fingerprint, (Arc<Model>, Fingerprint)>,
-                  slice: crate::coi::Slice| {
-        let raw = slice.fingerprint;
-        slices
-            .entry(raw)
-            .or_insert_with(|| {
-                if opt_on {
-                    let (model, fp) = crate::opt::optimize_with_fingerprint(&slice.model);
-                    (Arc::new(model), fp)
-                } else {
-                    (Arc::new(slice.model), raw)
-                }
-            })
-            .clone()
-    };
-
-    compiled
+    let mut tasks: Vec<PropertyTask> = compiled
         .properties
         .iter()
-        .map(|prop| {
-            let kind = match &prop.kind {
-                CompiledKind::Skipped(reason) => TaskKind::Done(PropertyStatus::NotChecked(reason)),
-                CompiledKind::Constraint => TaskKind::Done(PropertyStatus::NotChecked(
+        .zip(job_of)
+        .map(|(prop, job)| {
+            let slice = job.map(|j| &prepared[j]);
+            let kind = match (&prop.kind, slice) {
+                (CompiledKind::Skipped(reason), _) => {
+                    TaskKind::Done(PropertyStatus::NotChecked(reason))
+                }
+                (CompiledKind::Constraint, _) => TaskKind::Done(PropertyStatus::NotChecked(
                     "assumption (constrains the environment)",
                 )),
-                CompiledKind::Fairness => {
+                (CompiledKind::Fairness, _) => {
                     TaskKind::Done(PropertyStatus::NotChecked("fairness assumption"))
                 }
-                CompiledKind::Safety(i) => {
-                    if slice_on {
-                        let slice = cone_of_influence(&compiled.model, SliceTarget::Bad(*i));
-                        let (model, fp) = sliced(&mut slices, slice);
-                        TaskKind::Safety {
-                            model,
-                            index: 0,
-                            fp,
-                        }
-                    } else {
-                        let (model, fp) = full(&mut shared_full);
-                        TaskKind::Safety {
-                            model,
-                            index: *i,
-                            fp,
-                        }
+                (_, Some(Err(status))) => TaskKind::Failed(status.clone()),
+                (CompiledKind::Safety(_), Some(Ok(p))) => TaskKind::Safety {
+                    model: p.model.clone(),
+                    index: 0,
+                    fp: p.fp,
+                },
+                (CompiledKind::Safety(i), None) => {
+                    let (model, fp) = full();
+                    TaskKind::Safety {
+                        model,
+                        index: *i,
+                        fp,
                     }
                 }
-                CompiledKind::Cover(i) => {
-                    if slice_on {
-                        let slice = cone_of_influence(&compiled.model, SliceTarget::Cover(*i));
-                        let (model, fp) = sliced(&mut slices, slice);
-                        TaskKind::Cover {
-                            model,
-                            index: 0,
-                            fp,
-                        }
-                    } else {
-                        let (model, fp) = full(&mut shared_full);
-                        TaskKind::Cover {
-                            model,
-                            index: *i,
-                            fp,
-                        }
+                (CompiledKind::Cover(_), Some(Ok(p))) => TaskKind::Cover {
+                    model: p.model.clone(),
+                    index: 0,
+                    fp: p.fp,
+                },
+                (CompiledKind::Cover(i), None) => {
+                    let (model, fp) = full();
+                    TaskKind::Cover {
+                        model,
+                        index: *i,
+                        fp,
                     }
                 }
-                CompiledKind::Liveness(i) => {
-                    if slice_on {
-                        let slice = cone_of_influence(&compiled.model, SliceTarget::Liveness(*i));
-                        let raw = slice.fingerprint;
-                        let (base, fp) = sliced(&mut slices, slice);
-                        // The L2S product of the (optimized) base is itself
-                        // a plain safety model, so it gets its own opt pass:
-                        // the snapshot/monitor plumbing often pins latches
-                        // the original cone had already lost.
-                        let l2s = l2s_slices
-                            .entry(raw)
-                            .or_insert_with(|| {
-                                let _span = telemetry::span("l2s", &prop.property.full_name());
-                                let product = base.to_liveness_safety();
-                                if opt_on {
-                                    Arc::new(LivenessSafetyModel {
-                                        model: crate::opt::optimize(&product.model).model,
-                                        property_names: product.property_names,
-                                    })
-                                } else {
-                                    Arc::new(product)
-                                }
-                            })
-                            .clone();
-                        TaskKind::Liveness {
-                            base,
-                            l2s,
+                (CompiledKind::Liveness(_), Some(Ok(p))) => {
+                    match p.l2s.as_ref().expect("liveness slices carry a product") {
+                        Ok(l2s) => TaskKind::Liveness {
+                            base: p.model.clone(),
+                            l2s: l2s.clone(),
                             index: 0,
-                            fp,
-                        }
-                    } else {
-                        let (base, fp) = full(&mut shared_full);
-                        let l2s = shared_l2s
-                            .get_or_insert_with(|| Arc::new(base.to_liveness_safety()))
-                            .clone();
-                        TaskKind::Liveness {
-                            base,
-                            l2s,
-                            index: *i,
-                            fp,
-                        }
+                            fp: p.fp,
+                        },
+                        Err(status) => TaskKind::Failed(status.clone()),
+                    }
+                }
+                (CompiledKind::Liveness(i), None) => {
+                    let (base, fp) = full();
+                    let l2s = shared_l2s
+                        .get_or_insert_with(|| Arc::new(base.to_liveness_safety()))
+                        .clone();
+                    TaskKind::Liveness {
+                        base,
+                        l2s,
+                        index: *i,
+                        fp,
                     }
                 }
             };
             let (cone_latches, cone_gates) = match &kind {
-                TaskKind::Done(_) => (0, 0),
+                TaskKind::Done(_) | TaskKind::Failed(_) => (0, 0),
                 TaskKind::Safety { model, .. } | TaskKind::Cover { model, .. } => {
                     (model.aig.num_latches(), model.aig.num_ands())
                 }
@@ -1084,9 +1193,15 @@ fn build_tasks(compiled: &CompiledTestbench, options: &CheckOptions) -> Vec<Prop
                 kind,
                 cone_latches,
                 cone_gates,
+                seeds: HashMap::new(),
             }
         })
-        .collect()
+        .collect();
+    let plans = build_seed_plans(&tasks, &options.sharing);
+    for (task, seeds) in tasks.iter_mut().zip(plans) {
+        task.seeds = seeds;
+    }
+    tasks
 }
 
 /// Builds the deterministic cross-property seed plan: each safety task
@@ -1163,10 +1278,6 @@ struct TaskCtx<'a> {
     /// share a pool (they exchange phase/activity *seeds* instead).  Only
     /// consulted when [`CheckOptions::sharing`] is enabled.
     pools: SharedPools,
-    /// Per-task phase/activity seed plans, indexed in annotation order
-    /// (empty maps for tasks without a high-overlap donor).  Built once,
-    /// up front, from slice structure alone — see [`build_seed_plans`].
-    seeds: Vec<HashMap<usize, SeedHint>>,
 }
 
 /// Memoization state of one fingerprint's shared explicit-state engine.
@@ -1338,16 +1449,16 @@ impl TaskOutcome {
     }
 }
 
-fn run_task(
-    task_index: usize,
-    task: &PropertyTask,
-    ctx: &TaskCtx<'_>,
-    interrupt: &Interrupt,
-) -> TaskOutcome {
+fn run_task(task: &PropertyTask, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> TaskOutcome {
     match &task.kind {
         TaskKind::Done(status) => TaskOutcome::new(status.clone(), None, SolverStats::default()),
+        TaskKind::Failed(status) => TaskOutcome::new(
+            status.clone(),
+            Some(PREP_PANIC_NOTE.to_string()),
+            SolverStats::default(),
+        ),
         TaskKind::Safety { model, index, fp } => {
-            check_safety_task(model, *index, *fp, &ctx.seeds[task_index], ctx, interrupt)
+            check_safety_task(model, *index, *fp, &task.seeds, ctx, interrupt)
         }
         TaskKind::Cover { model, index, fp } => {
             let (status, note, stats) = check_cover_task(model, *index, *fp, ctx, interrupt);

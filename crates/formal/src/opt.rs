@@ -13,13 +13,13 @@
 //! * **sequential latch sweeping** (van Eijk) — random sequential
 //!   simulation partitions latches into candidate equivalence classes
 //!   (including stuck-at-constant candidates the ternary analysis cannot
-//!   see); the candidates are then proven by SAT *induction* — assume the
-//!   equivalences over a free current state, show every next-state function
-//!   preserves them, refining the partition with each counterexample —
-//!   and proven classes are merged onto one representative register.  This
-//!   is where testbench monitor state that duplicates design state (e.g.
-//!   an AutoSVA transaction counter shadowing an RTL occupancy counter)
-//!   collapses;
+//!   see); the candidates are then proven by SAT *induction* in rounds —
+//!   assume the equivalences over a free current state, show every
+//!   next-state function preserves them, and refine the partition by every
+//!   counterexample the round found — and proven classes are merged onto
+//!   one representative register.  This is where testbench monitor state
+//!   that duplicates design state (e.g. an AutoSVA transaction counter
+//!   shadowing an RTL occupancy counter) collapses;
 //! * **combinational gate sweeping** (FRAIG-style) — random-pattern
 //!   signatures partition AND nodes into candidate classes, a SAT miter
 //!   over a free state proves unconditional equivalence, and proven nodes
@@ -36,6 +36,19 @@
 //!   gates are dropped, exactly like [`crate::coi`] does for the initial
 //!   slice.
 //!
+//! Both sweeps are incremental: each runs one SAT solver over one encoding
+//! of frame 0.  A van Eijk round's hypothesis sits behind its own
+//! activation literal and is retired by a unit clause when the round ends;
+//! a proven gate pair is never checked again and stays behind as a
+//! permanent clause; a gate counterexample is resimulated 64 lanes wide
+//! together with 63 distance-1 neighbours.  None of this changes *what*
+//! the sweeps compute.  The latch sweep ends at the largest inductive
+//! relation that holds at reset, and the gate sweep at the exact
+//! functional classes, whatever the simulation words or the order in
+//! which counterexamples are found (the arguments are on
+//! `latch_equivalences` and `gate_equivalences`), so optimized models
+//! and their fingerprints do not depend on either.
+//!
 //! Passes repeat until the content fingerprint is stable, which makes the
 //! whole transformation *idempotent* — `optimize(optimize(m))` returns a
 //! model fingerprint-identical to `optimize(m)` — and therefore safe to key
@@ -51,10 +64,10 @@
 //! pass ([`crate::lint`]) can surface "register is stuck at its reset
 //! value" diagnostics from the same analysis.
 
-use crate::aig::{Aig, Lit, Node};
+use crate::aig::{Aig, Latch, Lit, Node};
 use crate::coi::{fingerprint, Fingerprint};
 use crate::model::{BadProperty, CoverProperty, Model, ResponseProperty};
-use crate::sat::SatResult;
+use crate::sat::{SatLit, SatResult};
 use crate::unroll::Unroller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,32 +134,29 @@ pub fn constant_latches(aig: &Aig) -> Vec<(usize, bool)> {
     if latches.is_empty() {
         return Vec::new();
     }
-    let mut state: HashMap<usize, TVal> =
-        latches.iter().map(|l| (l.node, TVal::of(l.init))).collect();
+    // Latch nodes hold the current abstract state between passes.
     let mut vals: Vec<TVal> = vec![TVal::F; aig.num_nodes()];
+    for l in latches {
+        vals[l.node] = TVal::of(l.init);
+    }
     loop {
         // One forward evaluation pass; node indices are topologically
         // ordered (AND inputs always reference earlier nodes).
-        for idx in 0..aig.num_nodes() {
-            vals[idx] = match aig.node(idx) {
-                Node::False => TVal::F,
-                Node::Input => TVal::X,
-                Node::Latch => state[&idx],
-                Node::And(a, b) => {
-                    let va = lit_val(&vals, a);
-                    let vb = lit_val(&vals, b);
-                    va.and(vb)
-                }
-            };
-        }
-        let mut changed = false;
-        for latch in latches {
-            let next = lit_val(&vals, latch.next);
-            let widened = state[&latch.node].join(next);
-            if widened != state[&latch.node] {
-                state.insert(latch.node, widened);
-                changed = true;
+        for idx in 1..aig.num_nodes() {
+            match aig.node(idx) {
+                Node::Input => vals[idx] = TVal::X,
+                Node::And(a, b) => vals[idx] = lit_val(&vals, a).and(lit_val(&vals, b)),
+                Node::False | Node::Latch => {}
             }
+        }
+        let widened: Vec<TVal> = latches
+            .iter()
+            .map(|l| vals[l.node].join(lit_val(&vals, l.next)))
+            .collect();
+        let mut changed = false;
+        for (l, w) in latches.iter().zip(widened) {
+            changed |= vals[l.node] != w;
+            vals[l.node] = w;
         }
         if !changed {
             break;
@@ -154,7 +164,7 @@ pub fn constant_latches(aig: &Aig) -> Vec<(usize, bool)> {
     }
     latches
         .iter()
-        .filter_map(|l| match state[&l.node] {
+        .filter_map(|l| match vals[l.node] {
             TVal::F => Some((l.node, false)),
             TVal::T => Some((l.node, true)),
             TVal::X => None,
@@ -206,6 +216,8 @@ pub fn optimize(model: &Model) -> OptResult {
         let next = {
             let _pass_span = crate::telemetry::span("opt.pass", "");
             crate::telemetry::count("opt.passes", 1);
+            #[cfg(any(test, feature = "fault-injection"))]
+            crate::faults::point("opt.pass");
             one_pass(&current, &mut constants)
         };
         let next_fp = fingerprint(&next);
@@ -232,47 +244,59 @@ pub fn optimize_with_fingerprint(model: &Model) -> (Model, Fingerprint) {
 
 /// Number of 64-bit random stimulus words per sequential simulation run.
 const SEQ_SIM_STEPS: usize = 48;
+/// Number of independent sequential simulation runs from reset.
+const SEQ_SIM_RUNS: usize = 8;
 /// Number of 64-bit random pattern words for combinational signatures.
 const COMB_SIM_WORDS: usize = 4;
 /// Fixed seed for the signature simulations (determinism across processes).
 const SWEEP_SEED: u64 = 0x005E_ED0F_0DD5;
 
-/// Evaluates every node of `aig` over 64 parallel bit-patterns.
-///
-/// `leaf` supplies the 64-bit word for inputs and latches; the result is
-/// indexed by node.
-fn eval_words(aig: &Aig, leaf: impl Fn(usize) -> u64) -> Vec<u64> {
-    let word = |vals: &[u64], l: Lit| -> u64 {
-        let w = vals[l.node()];
-        if l.is_inverted() {
-            !w
-        } else {
-            w
-        }
-    };
-    let mut vals = vec![0u64; aig.num_nodes()];
+/// Evaluates every AND node of `aig` over 64 parallel bit-patterns, in
+/// place: on entry `vals` (indexed by node) holds the word of every input
+/// and latch, on return every gate's word as well.  A single concrete
+/// valuation, such as a SAT counterexample, is lane 0 (leaf words `0` or
+/// `!0`).
+fn eval_words(aig: &Aig, vals: &mut [u64]) {
     for idx in 1..aig.num_nodes() {
-        vals[idx] = match aig.node(idx) {
-            Node::False => 0,
-            Node::Input | Node::Latch => leaf(idx),
-            Node::And(a, b) => word(&vals, a) & word(&vals, b),
-        };
+        if let Node::And(a, b) = aig.node(idx) {
+            vals[idx] = word(vals, a) & word(vals, b);
+        }
     }
-    vals
 }
 
-/// Evaluates every node over one concrete leaf valuation.
-fn eval_bools(aig: &Aig, leaf: impl Fn(usize) -> bool) -> Vec<bool> {
-    let bit = |vals: &[bool], l: Lit| -> bool { vals[l.node()] ^ l.is_inverted() };
-    let mut vals = vec![false; aig.num_nodes()];
-    for idx in 1..aig.num_nodes() {
-        vals[idx] = match aig.node(idx) {
-            Node::False => false,
-            Node::Input | Node::Latch => leaf(idx),
-            Node::And(a, b) => bit(&vals, a) && bit(&vals, b),
-        };
+/// The 64-lane word of `l` in an [`eval_words`] result.
+fn word(vals: &[u64], l: Lit) -> u64 {
+    let w = vals[l.node()];
+    if l.is_inverted() {
+        !w
+    } else {
+        w
     }
-    vals
+}
+
+/// `b` in every lane.
+fn lanes(b: bool) -> u64 {
+    if b {
+        !0
+    } else {
+        0
+    }
+}
+
+/// The input and latch nodes of `aig`, in node order.
+fn leaf_nodes(aig: &Aig) -> Vec<usize> {
+    (0..aig.num_nodes())
+        .filter(|&n| matches!(aig.node(n), Node::Input | Node::Latch))
+        .collect()
+}
+
+/// Loads the frame-0 leaf valuation of the last satisfiable query into
+/// every lane of `vals`.  Leaves no query has encoded read as `false`,
+/// which is a valid completion: every encoded cone's leaves are encoded.
+fn load_counterexample(unroller: &mut Unroller, leaves: &[usize], vals: &mut [u64]) {
+    for &n in leaves {
+        vals[n] = lanes(unroller.model_value(Lit::new(n, false), 0));
+    }
 }
 
 /// Sequentially-proven latch equivalences: `latch node -> representative
@@ -283,11 +307,26 @@ fn eval_bools(aig: &Aig, leaf: impl Fn(usize) -> bool) -> Vec<bool> {
 /// is normalized by its initial value (`value XOR init`), so two latches in
 /// the same candidate class agree at reset *by construction* (base case)
 /// and — per simulation — on every sampled trace.  The candidates are then
-/// certified by SAT induction: over a free current state satisfying all
-/// candidate equivalences, every class member's next-state function must
-/// agree with its representative's.  A counterexample is turned into a
-/// full leaf valuation and used to split the classes; the loop repeats
-/// until the whole partition is inductive.
+/// certified by SAT induction in van Eijk rounds: the round's *hypothesis*
+/// assumes every candidate equivalence over a free current state, and every
+/// class member's next-state function must agree with its
+/// representative's.  All counterexamples of a round are collected, the
+/// classes are split by the next-state values members take across all of
+/// them, and rounds repeat until one finds none.
+///
+/// One incremental solver serves every round: frame 0 and the constraints
+/// are encoded once, each round's hypothesis is guarded by its own
+/// activation literal and retired by a unit clause when the round ends,
+/// and each `(member, representative)` miter is encoded once behind its own
+/// literal and reused while the pair survives.
+///
+/// The result does not depend on the simulation words or on the order in
+/// which counterexamples are found.  Every counterexample satisfies its
+/// round's hypothesis, so a pair it splits is split by *every* relation
+/// that is inductive and contained in the current partition; and any
+/// inductive relation that holds at reset holds on every simulated state,
+/// so the initial partition contains it.  The loop therefore ends at the
+/// largest inductive, init-respecting relation, which is unique.
 ///
 /// The induction step may assume the model's invariant constraints on the
 /// *current* state: engines discard any execution whose prefix violates a
@@ -298,18 +337,15 @@ fn eval_bools(aig: &Aig, leaf: impl Fn(usize) -> bool) -> Vec<bool> {
 /// evaluates, and merging preserves all verdicts, traces and invariants.
 fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
     let aig = &model.aig;
-    let latches = aig.latches().to_vec();
+    let latches = aig.latches();
     if latches.is_empty() {
         return BTreeMap::new();
     }
-    let init_of: HashMap<usize, bool> = latches.iter().map(|l| (l.node, l.init)).collect();
-    let mask = |b: bool| -> u64 {
-        if b {
-            !0
-        } else {
-            0
-        }
-    };
+    // Dense `node -> latch index` table.
+    let mut slot = vec![usize::MAX; aig.num_nodes()];
+    for (i, l) in latches.iter().enumerate() {
+        slot[l.node] = i;
+    }
 
     // --- candidate partition from random sequential runs -----------------
     //
@@ -319,69 +355,73 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
     // must not split a candidate class.  Several short runs keep enough
     // live lanes for discrimination even under tight assumptions.
     let mut rng = StdRng::seed_from_u64(SWEEP_SEED);
-    let mut signatures: HashMap<usize, Vec<u64>> =
-        latches.iter().map(|l| (l.node, Vec::new())).collect();
-    const SEQ_SIM_RUNS: usize = 8;
     let steps_per_run = SEQ_SIM_STEPS / SEQ_SIM_RUNS;
+    let mut signatures: Vec<Vec<u64>> = vec![Vec::with_capacity(SEQ_SIM_STEPS); latches.len()];
+    let mut vals = vec![0u64; aig.num_nodes()];
+    let mut next = vec![0u64; latches.len()];
     for _ in 0..SEQ_SIM_RUNS {
-        let mut state: HashMap<usize, u64> =
-            latches.iter().map(|l| (l.node, mask(l.init))).collect();
+        for l in latches {
+            vals[l.node] = lanes(l.init);
+        }
         let mut valid: u64 = !0;
         for _ in 0..steps_per_run {
-            let inputs: HashMap<usize, u64> =
-                aig.inputs().iter().map(|&n| (n, rng.next_u64())).collect();
-            let vals = eval_words(aig, |n| match aig.node(n) {
-                Node::Latch => state[&n],
-                _ => inputs[&n],
-            });
-            let word = |l: Lit| -> u64 {
-                let w = vals[l.node()];
-                if l.is_inverted() {
-                    !w
-                } else {
-                    w
-                }
-            };
-            for latch in &latches {
+            for &n in aig.inputs() {
+                vals[n] = rng.next_u64();
+            }
+            eval_words(aig, &mut vals);
+            for (sig, l) in signatures.iter_mut().zip(latches) {
                 // The state at this cycle is evaluated whenever every
                 // *earlier* cycle satisfied the constraints, so it is
                 // masked by the prefix validity (before this cycle's
                 // constraint check).
-                signatures
-                    .get_mut(&latch.node)
-                    .unwrap()
-                    .push((state[&latch.node] ^ mask(latch.init)) & valid);
+                sig.push((vals[l.node] ^ lanes(l.init)) & valid);
             }
             for &c in &model.constraints {
-                valid &= word(c);
+                valid &= word(&vals, c);
             }
-            for latch in &latches {
-                state.insert(latch.node, word(latch.next));
+            for (w, l) in next.iter_mut().zip(latches) {
+                *w = word(&vals, l.next);
+            }
+            for (&w, l) in next.iter().zip(latches) {
+                vals[l.node] = w;
             }
         }
     }
     // Normalized signature -> member latch nodes (sorted by BTreeMap).
     let mut classes: BTreeMap<Vec<u64>, Vec<usize>> = BTreeMap::new();
-    for latch in &latches {
-        classes
-            .entry(signatures.remove(&latch.node).unwrap())
-            .or_default()
-            .push(latch.node);
+    for (sig, l) in signatures.into_iter().zip(latches) {
+        classes.entry(sig).or_default().push(l.node);
     }
-    let zero_sig = vec![0u64; SEQ_SIM_RUNS * steps_per_run];
     // Each class as (constant?, sorted members); non-constant classes keep
     // their smallest member as the representative.
     let mut partition: Vec<(bool, Vec<usize>)> = classes
         .into_iter()
         .map(|(sig, mut members)| {
             members.sort_unstable();
-            (sig == zero_sig, members)
+            (sig.iter().all(|&w| w == 0), members)
         })
         .filter(|(is_const, members)| *is_const || members.len() > 1)
         .collect();
     partition.sort_unstable_by_key(|(_, members)| members[0]);
 
-    // --- induction refinement loop --------------------------------------
+    // --- van Eijk rounds on one incremental solver ------------------------
+    let leaves = leaf_nodes(aig);
+    let mut unroller = Unroller::new(aig, false);
+    unroller.ensure_frame(0);
+    // The current state satisfies the invariant constraints (see the
+    // soundness argument in the doc comment).
+    for &c in &model.constraints {
+        unroller.constrain(c, 0, true);
+    }
+    // A latch's current and next value, normalized by its initial value.
+    let norm = |node: usize| Lit::new(node, latches[slot[node]].init);
+    let norm_next = |node: usize| {
+        let l = &latches[slot[node]];
+        l.next.invert_if(l.init)
+    };
+    // (member, rep) -> a literal implying that the pair's next states
+    // differ (rep == None: that the member's next state leaves its init).
+    let mut miters: HashMap<(usize, Option<usize>), SatLit> = HashMap::new();
     loop {
         // (member, rep) pairs to certify this round; rep==None ~ constant.
         let pairs: Vec<(usize, Option<usize>)> = partition
@@ -398,100 +438,93 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
             return BTreeMap::new();
         }
 
-        let mut unroller = Unroller::new(aig, false);
-        unroller.ensure_frame(0);
-        // The current state satisfies the invariant constraints (see the
-        // soundness argument in the doc comment).
-        for &c in &model.constraints {
-            unroller.constrain(c, 0, true);
-        }
         // Induction hypothesis: every candidate equivalence holds now.
+        let hypothesis = unroller.new_free_lit();
         for &(member, rep) in &pairs {
-            let m0 = unroller.lit_in_frame(Lit::new(member, false), 0);
-            let m_norm = if init_of[&member] { m0.negate() } else { m0 };
+            let m = unroller.lit_in_frame(norm(member), 0);
             match rep {
-                None => unroller.add_clause(&[m_norm.negate()]),
+                None => unroller.add_clause(&[hypothesis.negate(), m.negate()]),
                 Some(rep) => {
-                    let r0 = unroller.lit_in_frame(Lit::new(rep, false), 0);
-                    let r_norm = if init_of[&rep] { r0.negate() } else { r0 };
-                    unroller.add_clause(&[m_norm.negate(), r_norm]);
-                    unroller.add_clause(&[m_norm, r_norm.negate()]);
+                    let r = unroller.lit_in_frame(norm(rep), 0);
+                    unroller.add_clause(&[hypothesis.negate(), m.negate(), r]);
+                    unroller.add_clause(&[hypothesis.negate(), m, r.negate()]);
                 }
             }
         }
 
-        let mut cex_leaf: Option<Vec<bool>> = None;
+        // Normalized next-state value of every latch in each of this
+        // round's counterexamples, one bit per counterexample.
+        let mut cex_next: Vec<Vec<u64>> = vec![Vec::new(); latches.len()];
+        let mut num_cex = 0usize;
         for &(member, rep) in &pairs {
-            let latch = latches.iter().find(|l| l.node == member).unwrap();
-            let mn = unroller.lit_in_frame(latch.next, 0);
-            let mn_norm = if init_of[&member] { mn.negate() } else { mn };
-            let activate = unroller.new_free_lit();
-            match rep {
-                None => {
-                    // activate -> member's next breaks stuck-at-init.
-                    unroller.add_clause(&[activate.negate(), mn_norm]);
-                }
-                Some(rep) => {
-                    let rep_latch = latches.iter().find(|l| l.node == rep).unwrap();
-                    let rn = unroller.lit_in_frame(rep_latch.next, 0);
-                    let rn_norm = if init_of[&rep] { rn.negate() } else { rn };
-                    // activate -> (member_next XOR rep_next).
-                    unroller.add_clause(&[activate.negate(), mn_norm, rn_norm]);
-                    unroller.add_clause(&[activate.negate(), mn_norm.negate(), rn_norm.negate()]);
-                }
+            let refuted = match rep {
+                None => cex_next[slot[member]].iter().any(|&w| w != 0),
+                Some(rep) => cex_next[slot[member]] != cex_next[slot[rep]],
+            };
+            if refuted {
+                continue; // an earlier counterexample already splits the pair
             }
-            if matches!(unroller.solve_sat(&[activate]), SatResult::Sat) {
-                // Read the full leaf valuation behind the counterexample
-                // (unconstrained leaves default to false, which is a valid
-                // completion: every encoded cone's leaves are encoded).
-                let leaf: Vec<bool> = (0..aig.num_nodes())
-                    .map(|n| match aig.node(n) {
-                        Node::Input | Node::Latch => unroller.model_value(Lit::new(n, false), 0),
-                        _ => false,
-                    })
-                    .collect();
-                cex_leaf = Some(leaf);
-                break;
+            let miter = *miters.entry((member, rep)).or_insert_with(|| {
+                let differ = unroller.new_free_lit();
+                let mn = unroller.lit_in_frame(norm_next(member), 0);
+                match rep {
+                    // differ -> member's next breaks stuck-at-init.
+                    None => unroller.add_clause(&[differ.negate(), mn]),
+                    Some(rep) => {
+                        // differ -> (member_next XOR rep_next).
+                        let rn = unroller.lit_in_frame(norm_next(rep), 0);
+                        unroller.add_clause(&[differ.negate(), mn, rn]);
+                        unroller.add_clause(&[differ.negate(), mn.negate(), rn.negate()]);
+                    }
+                }
+                differ
+            });
+            if matches!(unroller.solve_sat(&[hypothesis, miter]), SatResult::Sat) {
+                load_counterexample(&mut unroller, &leaves, &mut vals);
+                eval_words(aig, &mut vals);
+                let (w, bit) = (num_cex / 64, num_cex % 64);
+                for (bits, l) in cex_next.iter_mut().zip(latches) {
+                    if bit == 0 {
+                        bits.push(0);
+                    }
+                    bits[w] |= (word(&vals, l.next.invert_if(l.init)) & 1) << bit;
+                }
+                num_cex += 1;
             }
         }
+        // Retire the hypothesis: its clauses are satisfied from now on.
+        unroller.add_clause(&[hypothesis.negate()]);
 
-        match cex_leaf {
-            None => {
-                // Whole partition is inductive: emit the merges.
-                let mut equiv = BTreeMap::new();
-                for (member, rep) in pairs {
-                    let inv_member = init_of[&member];
-                    let target = match rep {
-                        None => Lit::FALSE.invert_if(inv_member),
-                        Some(rep) => Lit::new(rep, inv_member ^ init_of[&rep]),
-                    };
-                    equiv.insert(member, target);
-                }
-                return equiv;
-            }
-            Some(leaf) => {
-                // Split every class by the next-state value (normalized by
-                // init) each member takes in the counterexample state.
-                let vals = eval_bools(aig, |n| leaf[n]);
-                let next_norm = |node: usize| -> bool {
-                    let latch = latches.iter().find(|l| l.node == node).unwrap();
-                    (vals[latch.next.node()] ^ latch.next.is_inverted()) ^ latch.init
+        if num_cex == 0 {
+            // Whole partition is inductive: emit the merges.
+            let mut equiv = BTreeMap::new();
+            for (member, rep) in pairs {
+                let inv_member = latches[slot[member]].init;
+                let target = match rep {
+                    None => Lit::FALSE.invert_if(inv_member),
+                    Some(rep) => Lit::new(rep, inv_member ^ latches[slot[rep]].init),
                 };
-                let mut refined: Vec<(bool, Vec<usize>)> = Vec::new();
-                for (is_const, members) in partition {
-                    let (zeros, ones): (Vec<usize>, Vec<usize>) =
-                        members.into_iter().partition(|&m| !next_norm(m));
-                    if (is_const || zeros.len() > 1) && !zeros.is_empty() {
-                        refined.push((is_const, zeros));
-                    }
-                    if ones.len() > 1 {
-                        refined.push((false, ones));
-                    }
+                equiv.insert(member, target);
+            }
+            return equiv;
+        }
+        // Split every class by the next-state values its members take
+        // across all of the round's counterexamples.
+        let mut refined: Vec<(bool, Vec<usize>)> = Vec::new();
+        for (is_const, members) in partition {
+            let mut groups: BTreeMap<&[u64], Vec<usize>> = BTreeMap::new();
+            for m in members {
+                groups.entry(&cex_next[slot[m]]).or_default().push(m);
+            }
+            for (bits, group) in groups {
+                let still_const = is_const && bits.iter().all(|&w| w == 0);
+                if still_const || group.len() > 1 {
+                    refined.push((still_const, group));
                 }
-                refined.sort_unstable_by_key(|(_, members)| members[0]);
-                partition = refined;
             }
         }
+        refined.sort_unstable_by_key(|(_, members)| members[0]);
+        partition = refined;
     }
 }
 
@@ -502,31 +535,41 @@ fn latch_equivalences(model: &Model) -> BTreeMap<usize, Lit> {
 /// so the merge is unconditionally sound.
 ///
 /// Random 64-bit patterns over free leaves partition all nodes into
-/// candidate classes (complement-normalized on the first sampled bit); SAT
-/// miters over a single free frame certify each member against the class
-/// representative, counterexamples refine the partition, and the loop runs
-/// until it is certified.  Only AND nodes are ever merged.
+/// candidate classes (complement-normalized on the first sampled bit).  One
+/// incremental solver over a single free frame then certifies each member
+/// against its class representative.  A proven pair is never checked again
+/// and its equivalence becomes a permanent clause that helps every later
+/// query.  A counterexample is resimulated 64 lanes wide (itself plus 63
+/// distance-1 neighbours, each with one leaf flipped) and splits every
+/// class at once; since every valuation is a valid witness here, the split
+/// happens immediately.  Only AND nodes are ever merged.
+///
+/// Classes are only ever split by valuations on which their members
+/// differ, so the loop ends at the exact functional classes: the result
+/// maps each gate to the smallest node equal to it up to complement,
+/// whatever the simulation words or counterexample order.
 fn gate_equivalences(aig: &Aig) -> BTreeMap<usize, Lit> {
     if aig.num_ands() == 0 {
         return BTreeMap::new();
     }
+    let leaves = leaf_nodes(aig);
     let mut rng = StdRng::seed_from_u64(SWEEP_SEED ^ 0xC0DE);
-    let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); aig.num_nodes()];
+    let mut vals = vec![0u64; aig.num_nodes()];
+    let mut signatures: Vec<Vec<u64>> = vec![Vec::with_capacity(COMB_SIM_WORDS); aig.num_nodes()];
     for _ in 0..COMB_SIM_WORDS {
-        let words: HashMap<usize, u64> = (0..aig.num_nodes())
-            .filter(|&n| matches!(aig.node(n), Node::Input | Node::Latch))
-            .map(|n| (n, rng.next_u64()))
-            .collect();
-        let vals = eval_words(aig, |n| words[&n]);
-        for (n, sig) in signatures.iter_mut().enumerate() {
-            sig.push(vals[n]);
+        for &n in &leaves {
+            vals[n] = rng.next_u64();
+        }
+        eval_words(aig, &mut vals);
+        for (sig, &v) in signatures.iter_mut().zip(&vals) {
+            sig.push(v);
         }
     }
     // Complement-normalize each signature on its first bit.
     let mut classes: BTreeMap<Vec<u64>, Vec<(usize, bool)>> = BTreeMap::new();
     for (n, raw) in signatures.iter().enumerate() {
         let inv = raw[0] & 1 == 1;
-        let sig: Vec<u64> = raw.iter().map(|&w| if inv { !w } else { w }).collect();
+        let sig: Vec<u64> = raw.iter().map(|&w| w ^ lanes(inv)).collect();
         classes.entry(sig).or_default().push((n, inv));
     }
     let mut partition: Vec<Vec<(usize, bool)>> = classes
@@ -539,69 +582,88 @@ fn gate_equivalences(aig: &Aig) -> BTreeMap<usize, Lit> {
         .collect();
     partition.sort_unstable_by_key(|members| members[0].0);
 
+    let mut unroller = Unroller::new(aig, false);
+    unroller.ensure_frame(0);
+    let mut proven = vec![false; aig.num_nodes()];
+    // Rotates the flipped leaves across counterexamples.
+    let mut flip = 0usize;
     loop {
-        let pairs: Vec<(usize, bool, usize, bool)> = partition
-            .iter()
-            .flat_map(|members| {
-                let (rep, rep_inv) = members[0];
-                members
-                    .iter()
-                    .skip(1)
-                    .filter(move |&&(n, _)| is_and(aig, n))
-                    .map(move |&(n, inv)| (n, inv, rep, rep_inv))
-            })
-            .collect();
-        if pairs.is_empty() {
-            return BTreeMap::new();
-        }
-
-        let mut unroller = Unroller::new(aig, false);
-        unroller.ensure_frame(0);
-        let mut cex_leaf: Option<Vec<bool>> = None;
-        for &(member, inv, rep, rep_inv) in &pairs {
-            let m = unroller.lit_in_frame(Lit::new(member, inv), 0);
-            let r = unroller.lit_in_frame(Lit::new(rep, rep_inv), 0);
-            let activate = unroller.new_free_lit();
-            // activate -> (m XOR r).
-            unroller.add_clause(&[activate.negate(), m, r]);
-            unroller.add_clause(&[activate.negate(), m.negate(), r.negate()]);
-            if matches!(unroller.solve_sat(&[activate]), SatResult::Sat) {
-                let leaf: Vec<bool> = (0..aig.num_nodes())
-                    .map(|n| match aig.node(n) {
-                        Node::Input | Node::Latch => unroller.model_value(Lit::new(n, false), 0),
-                        _ => false,
-                    })
-                    .collect();
-                cex_leaf = Some(leaf);
-                break;
+        // The first gate not yet proven equal to its representative.  A
+        // proven pair stays together (no valuation separates it), so its
+        // representative never changes.
+        let next = partition.iter().find_map(|members| {
+            let (rep, rep_inv) = members[0];
+            members[1..]
+                .iter()
+                .find(|&&(n, _)| is_and(aig, n) && !proven[n])
+                .map(|&(n, inv)| (n, inv, rep, rep_inv))
+        });
+        let Some((member, inv, rep, rep_inv)) = next else {
+            break;
+        };
+        let m = unroller.lit_in_frame(Lit::new(member, inv), 0);
+        let r = unroller.lit_in_frame(Lit::new(rep, rep_inv), 0);
+        let activate = unroller.new_free_lit();
+        // activate -> (m XOR r).
+        unroller.add_clause(&[activate.negate(), m, r]);
+        unroller.add_clause(&[activate.negate(), m.negate(), r.negate()]);
+        if matches!(unroller.solve_sat(&[activate]), SatResult::Sat) {
+            load_counterexample(&mut unroller, &leaves, &mut vals);
+            for lane in 1..64 {
+                vals[leaves[(flip + lane) % leaves.len()]] ^= 1 << lane;
             }
+            flip += 63;
+            eval_words(aig, &mut vals);
+            partition = refine_gate_classes(aig, partition, &vals);
+        } else {
+            // Combinational equivalence holds for every valuation.
+            proven[member] = true;
+            unroller.add_clause(&[m.negate(), r]);
+            unroller.add_clause(&[m, r.negate()]);
         }
-
-        match cex_leaf {
-            None => {
-                let mut equiv = BTreeMap::new();
-                for (member, inv, rep, rep_inv) in pairs {
-                    equiv.insert(member, Lit::new(rep, inv ^ rep_inv));
-                }
-                return equiv;
-            }
-            Some(leaf) => {
-                let vals = eval_bools(aig, |n| leaf[n]);
-                let mut refined: Vec<Vec<(usize, bool)>> = Vec::new();
-                for members in partition {
-                    let (zeros, ones): (Vec<_>, Vec<_>) =
-                        members.into_iter().partition(|&(n, inv)| !(vals[n] ^ inv));
-                    for side in [zeros, ones] {
-                        if side.len() > 1 && side.iter().any(|&(n, _)| is_and(aig, n)) {
-                            refined.push(side);
-                        }
-                    }
-                }
-                refined.sort_unstable_by_key(|members| members[0].0);
-                partition = refined;
+        // Retire the miter (after the model above has been read: adding a
+        // clause resets the solver's assignment).
+        unroller.add_clause(&[activate.negate()]);
+    }
+    let mut equiv = BTreeMap::new();
+    for members in &partition {
+        let (rep, rep_inv) = members[0];
+        for &(n, inv) in &members[1..] {
+            if is_and(aig, n) {
+                equiv.insert(n, Lit::new(rep, inv ^ rep_inv));
             }
         }
     }
+    equiv
+}
+
+/// Splits every candidate gate class by the complement-normalized value its
+/// members take in the 64 lanes of `vals`; parts left without a second
+/// member or without an AND node are dropped.
+fn refine_gate_classes(
+    aig: &Aig,
+    partition: Vec<Vec<(usize, bool)>>,
+    vals: &[u64],
+) -> Vec<Vec<(usize, bool)>> {
+    let mut refined: Vec<Vec<(usize, bool)>> = Vec::new();
+    for members in partition {
+        let mut groups: Vec<(u64, Vec<(usize, bool)>)> = Vec::new();
+        for (n, inv) in members {
+            let w = vals[n] ^ lanes(inv);
+            match groups.iter_mut().find(|(key, _)| *key == w) {
+                Some((_, group)) => group.push((n, inv)),
+                None => groups.push((w, vec![(n, inv)])),
+            }
+        }
+        refined.extend(
+            groups
+                .into_iter()
+                .map(|(_, group)| group)
+                .filter(|group| group.len() > 1 && group.iter().any(|&(n, _)| is_and(aig, n))),
+        );
+    }
+    refined.sort_unstable_by_key(|members| members[0].0);
+    refined
 }
 
 fn is_and(aig: &Aig, node: usize) -> bool {
@@ -613,10 +675,10 @@ fn is_and(aig: &Aig, node: usize) -> bool {
 /// appended to `constants`.
 fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
     let aig = &model.aig;
-    let consts: HashMap<usize, bool> = constant_latches(aig).into_iter().collect();
+    let consts = constant_latches(aig);
     let latch_equiv = latch_equivalences(model);
     let gate_equiv = gate_equivalences(aig);
-    let mut stuck: Vec<(usize, bool)> = consts.iter().map(|(&n, &v)| (n, v)).collect();
+    let mut stuck: Vec<(usize, bool)> = consts.clone();
     stuck.extend(latch_equiv.iter().filter_map(|(&n, &rep)| {
         if rep.is_const() {
             Some((n, rep == Lit::TRUE))
@@ -631,18 +693,22 @@ fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
             constants.push((name, value));
         }
     }
-    // Where a node's fanout should be redirected, if anywhere.  Targets
-    // always have a smaller node index, so redirections resolve in node
-    // order without chains.
-    let redirect = |node: usize| -> Option<Lit> {
-        if let Some(&value) = consts.get(&node) {
-            return Some(if value { Lit::TRUE } else { Lit::FALSE });
-        }
-        if let Some(&rep) = latch_equiv.get(&node) {
-            return Some(rep);
-        }
-        gate_equiv.get(&node).copied()
-    };
+    // Where a node's fanout should be redirected, if anywhere: constants
+    // win over latch merges, which win over gate merges.  Targets always
+    // have a smaller node index, so redirections resolve in node order
+    // without chains.
+    let mut redirect: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    for (&node, &rep) in gate_equiv.iter().chain(&latch_equiv) {
+        redirect[node] = Some(rep);
+    }
+    for &(node, value) in &consts {
+        redirect[node] = Some(if value { Lit::TRUE } else { Lit::FALSE });
+    }
+    // Dense `node -> latch` table.
+    let mut latch_of: Vec<Option<&Latch>> = vec![None; aig.num_nodes()];
+    for latch in aig.latches() {
+        latch_of[latch.node] = Some(latch);
+    }
 
     // ------------------------------------------------------------------
     // Reachability from every root, with redirected nodes as cut points:
@@ -657,7 +723,6 @@ fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
         roots.push(p.trigger);
         roots.push(p.target);
     }
-    let next_of: HashMap<usize, Lit> = aig.latches().iter().map(|l| (l.node, l.next)).collect();
     let mut alive = vec![false; aig.num_nodes()];
     alive[0] = true;
     let mut visited = vec![false; aig.num_nodes()];
@@ -668,14 +733,14 @@ fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
             continue;
         }
         visited[node] = true;
-        if let Some(rep) = redirect(node) {
+        if let Some(rep) = redirect[node] {
             worklist.push(rep.node());
             continue;
         }
         alive[node] = true;
         match aig.node(node) {
             Node::False | Node::Input => {}
-            Node::Latch => worklist.push(next_of[&node].node()),
+            Node::Latch => worklist.push(latch_of[node].expect("latch node").next.node()),
             Node::And(a, b) => {
                 worklist.push(a.node());
                 worklist.push(b.node());
@@ -688,23 +753,22 @@ fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
     // constants and funnelling every gate through the rewrite rules.
     // ------------------------------------------------------------------
     let mut out = Aig::new();
-    let mut map: HashMap<usize, Lit> = HashMap::new();
-    map.insert(0, Lit::FALSE);
-    let map_lit =
-        |map: &HashMap<usize, Lit>, l: Lit| -> Lit { map[&l.node()].invert_if(l.is_inverted()) };
-    let input_name_of: HashMap<usize, &str> = aig
-        .inputs()
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| (node, aig.input_name(i)))
-        .collect();
+    let mut map: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    map[0] = Some(Lit::FALSE);
+    let map_lit = |map: &[Option<Lit>], l: Lit| -> Lit {
+        map[l.node()]
+            .expect("mapped node")
+            .invert_if(l.is_inverted())
+    };
+    let mut input_name_of: Vec<&str> = vec![""; aig.num_nodes()];
+    for (i, &node) in aig.inputs().iter().enumerate() {
+        input_name_of[node] = aig.input_name(i);
+    }
     for idx in 1..aig.num_nodes() {
-        if let Some(rep) = redirect(idx) {
+        if let Some(rep) = redirect[idx] {
             // Redirected fanout reads the representative's rebuilt literal
             // (already mapped: representatives have smaller indices).
-            if let Some(&mapped) = map.get(&rep.node()) {
-                map.insert(idx, mapped.invert_if(rep.is_inverted()));
-            }
+            map[idx] = map[rep.node()].map(|mapped| mapped.invert_if(rep.is_inverted()));
             continue;
         }
         if !alive[idx] {
@@ -712,13 +776,9 @@ fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
         }
         let new_lit = match aig.node(idx) {
             Node::False => unreachable!("only node 0 is the constant"),
-            Node::Input => out.add_input(input_name_of[&idx]),
+            Node::Input => out.add_input(input_name_of[idx]),
             Node::Latch => {
-                let latch = aig
-                    .latches()
-                    .iter()
-                    .find(|l| l.node == idx)
-                    .expect("alive latch exists");
+                let latch = latch_of[idx].expect("alive latch exists");
                 out.add_latch(aig.name_of(idx).unwrap_or("latch"), latch.init)
             }
             Node::And(a, b) => {
@@ -734,11 +794,11 @@ fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
                 lit
             }
         };
-        map.insert(idx, new_lit);
+        map[idx] = Some(new_lit);
     }
     for latch in aig.latches() {
-        if alive[latch.node] && redirect(latch.node).is_none() {
-            let new_latch = map[&latch.node];
+        if alive[latch.node] && redirect[latch.node].is_none() {
+            let new_latch = map_lit(&map, Lit::new(latch.node, false));
             let new_next = map_lit(&map, latch.next);
             out.set_latch_next(new_latch, new_next);
         }

@@ -9,8 +9,9 @@
 //!   [`crate::checker::CheckOptions`]: worker count (`threads = 1` is the
 //!   sequential escape hatch), slicing on/off, an optional per-property time
 //!   budget, first-violation cancellation, and an optional [`ProofCache`];
-//! * [`run_ordered`] — a self-scheduling worker pool over [`std::thread`]
-//!   (no external dependencies): idle workers steal the next property index
+//! * [`run_phased`] — a self-scheduling worker pool over [`std::thread`]
+//!   (no external dependencies): the workers first prepare (optimize)
+//!   every distinct slice, then idle workers steal the next property index
 //!   from a shared atomic queue head, results land in annotation order, and
 //!   a shared cancellation flag stops the fleet early.  Statuses are
 //!   deterministic — every engine is single-threaded and runs on an
@@ -37,6 +38,7 @@ use crate::pdr::Invariant;
 use crate::sat::{ClausePool, SolverConfig};
 use crate::sim::Simulator;
 use crate::trace::Trace;
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -44,7 +46,7 @@ use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Orchestration options for a verification run (part of
@@ -248,94 +250,162 @@ impl SharedPools {
     }
 }
 
-/// Runs `run(i, &items[i])` for every item on up to `threads` workers and
-/// returns the results in item order.
+/// Runs a verification run's two phases on one set of up to `threads`
+/// workers: `prepare(j, jobs[j])` for every job, then `assemble` once
+/// over the prepared results (in job order) to build the items, then
+/// `run(i, &items[i])` for every item.  Returns the items and their
+/// results, both in item order.
 ///
-/// Workers self-schedule from a shared queue head, so long-running
-/// properties never block short ones behind a static partition.
+/// Workers self-schedule from a shared queue head in each phase, so
+/// long-running jobs or properties never block short ones behind a static
+/// partition.  The phases meet at a barrier: one worker (the barrier's
+/// leader) assembles the items while the others wait.  Running both phases on the
+/// same threads keeps the run's allocations in the heaps those threads
+/// already use (the allocator keeps one per thread) instead of growing the
+/// heaps of a second set of threads.
 ///
 /// # Cancellation semantics
 ///
-/// When `cancel` is raised, items not yet *started* yield `None`; items
-/// whose run already started are never preempted here — they complete
-/// normally (or wind down early by observing the flag themselves, e.g.
-/// through an [`crate::interrupt::Interrupt`] carrying it) and their
-/// results are kept.  A slot is therefore `None` only for "never ran",
-/// not "ran and was discarded".
+/// Preparation always completes.  When `cancel` is raised, items not yet
+/// *started* yield `None`; items whose run already started are never
+/// preempted here — they complete normally (or wind down early by
+/// observing the flag themselves, e.g. through an
+/// [`crate::interrupt::Interrupt`] carrying it) and their results are
+/// kept.  A slot is therefore `None` only for "never ran", not "ran and
+/// was discarded".
 ///
 /// # Fault containment
 ///
-/// The checker wraps engine work in its own `catch_unwind`, but this pool
-/// is the last line of defense: a panic that escapes `run` is caught here
-/// so one poisoned item cannot tear down the scope at join time and lose
-/// every completed verdict.  The panicking item's slot stays `None`; the
-/// result mutex is recovered from poisoning rather than propagating it.
-pub(crate) fn run_ordered<T, R, F>(
-    items: &[T],
+/// The checker wraps preparation and engine work in its own
+/// `catch_unwind`, but this pool is the last line of defense: a panic that
+/// escapes `prepare` or `run` is caught here so one poisoned job or item
+/// cannot tear down the scope at join time and lose every completed
+/// verdict.  The panicking slot stays `None`; the result mutexes are
+/// recovered from poisoning rather than propagating it.  A panic in
+/// `assemble` stops the workers and is re-raised on the calling thread.
+pub(crate) fn run_phased<J, P, T, R>(
+    jobs: Vec<J>,
     threads: usize,
     cancel: &AtomicBool,
     telemetry: &crate::telemetry::Telemetry,
-    run: F,
-) -> Vec<Option<R>>
+    prepare: impl Fn(usize, J) -> P + Sync,
+    assemble: impl FnOnce(Vec<Option<P>>) -> Vec<T> + Send,
+    run: impl Fn(usize, &T) -> R + Sync,
+) -> (Vec<T>, Vec<Option<R>>)
 where
-    T: Sync,
+    J: Send,
+    P: Send,
+    T: Send + Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = threads.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        // Sequential escape hatch: runs on the calling thread, which is
-        // already inside the run's telemetry scope (track 0).
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
+    // Each job is handed to `prepare` by value, so whatever it owns is
+    // freed as soon as its preparation ends.
+    let jobs: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let prepare = |j: usize, slot: &Mutex<Option<J>>| {
+        let job = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        prepare(j, job.expect("each job is prepared once"))
+    };
+    let prepared: Mutex<Vec<Option<P>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
+    let next_job = AtomicUsize::new(0);
+    let next_item = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<R>>> = Mutex::new(Vec::new());
+    let workers = threads.max(1);
+    let barrier = Barrier::new(workers);
+    let assemble = Mutex::new(Some(assemble));
+    let items: OnceLock<Vec<T>> = OnceLock::new();
+    let assemble_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let work = || {
+        drain(&jobs, &next_job, &prepared, &prepare, |_| true);
+        if barrier.wait().is_leader() {
+            let assemble = assemble
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("exactly one leader assembles");
+            let slots =
+                std::mem::take(&mut *prepared.lock().unwrap_or_else(PoisonError::into_inner));
+            match catch_unwind(AssertUnwindSafe(|| assemble(slots))) {
+                Ok(assembled) => {
+                    *results.lock().unwrap_or_else(PoisonError::into_inner) =
+                        (0..assembled.len()).map(|_| None).collect();
+                    let _ = items.set(assembled);
+                }
+                Err(payload) => {
+                    *assemble_panic
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner) = Some(payload);
+                }
+            }
+        }
+        barrier.wait();
+        if let Some(items) = items.get() {
+            drain(items, &next_item, &results, &run, |i| {
                 if cancel.load(Ordering::Relaxed) {
-                    None
-                } else {
-                    crate::telemetry::gauge(
-                        "pool.queue_depth",
-                        items.len().saturating_sub(i) as u64,
-                    );
-                    catch_unwind(AssertUnwindSafe(|| run(i, item))).ok()
+                    return false;
                 }
-            })
-            .collect();
-    }
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Each pool worker records onto its own telemetry track
-                // (a fresh per-worker buffer; no-op when telemetry is off).
-                let _telemetry_scope = crate::telemetry::enter(telemetry);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if cancel.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    crate::telemetry::gauge(
-                        "pool.queue_depth",
-                        items.len().saturating_sub(i) as u64,
-                    );
-                    let r = catch_unwind(AssertUnwindSafe(|| run(i, &items[i])));
-                    // Recover rather than propagate poisoning: the vector
-                    // of `Option` slots is always in a consistent state
-                    // (each slot is written exactly once, after its run),
-                    // so a panic elsewhere cannot have corrupted it.
-                    let mut slots = results.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Ok(r) = r {
-                        slots[i] = Some(r);
-                    }
-                }
+                crate::telemetry::gauge("pool.queue_depth", items.len().saturating_sub(i) as u64);
+                true
             });
         }
-    });
-    results.into_inner().unwrap_or_else(PoisonError::into_inner)
+    };
+    if workers == 1 {
+        // Sequential escape hatch: runs on the calling thread, which is
+        // already inside the run's telemetry scope (track 0).
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    // Each pool worker records onto its own telemetry track
+                    // (a fresh per-worker buffer; no-op when telemetry is
+                    // off).
+                    let _telemetry_scope = crate::telemetry::enter(telemetry);
+                    work();
+                });
+            }
+        });
+    }
+    if let Some(payload) = into_inner(assemble_panic) {
+        std::panic::resume_unwind(payload);
+    }
+    let items = items
+        .into_inner()
+        .expect("assembled when assembly did not panic");
+    (items, into_inner(results))
+}
+
+/// Self-schedules `f` over `items` from the shared queue head `next`,
+/// writing each result into its slot.  `start(i)` runs first and returns
+/// `false` to leave item `i` unstarted; a panic in `f` leaves the slot
+/// `None`.
+fn drain<I, O>(
+    items: &[I],
+    next: &AtomicUsize,
+    slots: &Mutex<Vec<Option<O>>>,
+    f: &impl Fn(usize, &I) -> O,
+    start: impl Fn(usize) -> bool,
+) {
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
+        }
+        if !start(i) {
+            continue;
+        }
+        let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+        // Recover rather than propagate poisoning: the vector of `Option`
+        // slots is always in a consistent state (each slot is written
+        // exactly once, after its run), so a panic elsewhere cannot have
+        // corrupted it.
+        if let Ok(r) = r {
+            slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
+        }
+    }
+}
+
+fn into_inner<V>(m: Mutex<V>) -> V {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Counters describing the effectiveness of a [`ProofCache`].
@@ -1061,57 +1131,78 @@ mod tests {
     use super::*;
     use crate::aig::Aig;
 
-    #[test]
-    fn run_ordered_preserves_item_order() {
-        let items: Vec<usize> = (0..64).collect();
-        let cancel = AtomicBool::new(false);
-        let out = run_ordered(
-            &items,
-            8,
-            &cancel,
+    /// Runs `run` over `items` with an empty preparation phase.
+    fn run_items(items: &[usize], threads: usize, cancel: &AtomicBool) -> Vec<Option<usize>> {
+        run_phased(
+            Vec::<()>::new(),
+            threads,
+            cancel,
             &crate::telemetry::Telemetry::disabled(),
+            |_, _| (),
+            |_| items.to_vec(),
             |i, &item| {
                 assert_eq!(i, item);
                 item * 2
             },
-        );
-        let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
+        )
+        .1
+    }
+
+    #[test]
+    fn run_phased_preserves_item_order() {
+        let items: Vec<usize> = (0..64).collect();
+        let cancel = AtomicBool::new(false);
+        let values: Vec<usize> = run_items(&items, 8, &cancel)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
         assert_eq!(values, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_ordered_sequential_matches_parallel() {
+    fn run_phased_sequential_matches_parallel() {
         let items: Vec<usize> = (0..32).collect();
         let cancel = AtomicBool::new(false);
-        let seq = run_ordered(
-            &items,
-            1,
-            &cancel,
-            &crate::telemetry::Telemetry::disabled(),
-            |_, &x| x + 1,
-        );
-        let par = run_ordered(
-            &items,
-            4,
-            &cancel,
-            &crate::telemetry::Telemetry::disabled(),
-            |_, &x| x + 1,
-        );
-        assert_eq!(seq, par);
+        assert_eq!(run_items(&items, 1, &cancel), run_items(&items, 4, &cancel));
     }
 
     #[test]
     fn cancelled_items_yield_none() {
         let items: Vec<usize> = (0..8).collect();
         let cancel = AtomicBool::new(true);
-        let out = run_ordered(
-            &items,
-            4,
-            &cancel,
-            &crate::telemetry::Telemetry::disabled(),
-            |_, &x| x,
-        );
-        assert!(out.iter().all(Option::is_none));
+        assert!(run_items(&items, 4, &cancel).iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn prepared_jobs_reach_assembly_in_job_order_and_panics_stay_in_their_slot() {
+        let jobs: Vec<usize> = (0..16).collect();
+        let cancel = AtomicBool::new(false);
+        for threads in [1, 3] {
+            let (items, results) = run_phased(
+                jobs.clone(),
+                threads,
+                &cancel,
+                &crate::telemetry::Telemetry::disabled(),
+                |j, job| {
+                    assert_eq!(j, job);
+                    assert_ne!(job, 5, "injected preparation panic");
+                    job * 10
+                },
+                |prepared| prepared,
+                |_, &item| item.map(|v| v + 1),
+            );
+            let expected: Vec<Option<usize>> =
+                jobs.iter().map(|&j| (j != 5).then_some(j * 10)).collect();
+            assert_eq!(items, expected, "threads {threads}");
+            let results: Vec<Option<usize>> = results.into_iter().map(Option::flatten).collect();
+            assert_eq!(
+                results,
+                expected
+                    .iter()
+                    .map(|v| v.map(|v| v + 1))
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -14,12 +14,17 @@
 //!
 //! The fault registry is process-global, so every arming test runs under
 //! [`fault_lock`] and targets properties of a design whose transaction
-//! name (`rbt`) appears nowhere else in the test suite — a concurrently
-//! running checker test can share a fault site without ever matching an
-//! arm's property filter.
+//! name (`rbt`, or `rbo` for the optimizer test) appears nowhere else in
+//! the test suite — a concurrently running checker test can share a fault
+//! site without ever matching an arm's property filter.
 
 use crate::bmc::BmcOptions;
-use crate::checker::{verify, CheckOptions, PropertyResult, PropertyStatus, VerificationReport};
+use crate::checker::{
+    verify, CheckOptions, PropertyResult, PropertyStatus, VerificationReport, PREP_PANIC_NOTE,
+};
+use crate::coi::{cone_of_influence, Fingerprint, SliceTarget};
+use crate::compile::CompiledKind;
+use crate::elab::ElabOptions;
 use crate::faults::{self, FaultAction};
 use autosva::sva::Directive;
 use autosva::{generate_ft, AutosvaOptions, PropertyClass};
@@ -441,4 +446,103 @@ fn frontend_deadline_fails_fast_and_a_generous_one_is_invisible() {
         budgeted.render(),
         "a generous front-end budget must not perturb the report"
     );
+}
+
+/// The fault-test echo DUT under its own transaction name (`rbo`), so the
+/// optimizer-fault arms below match only this test's own runs.
+fn opt_fault_echo() -> String {
+    FAULT_ECHO.replace("rbt", "rbo")
+}
+
+/// The checked properties of `source` in annotation order, grouped by raw
+/// cone-of-influence fingerprint (first property first).
+fn slice_groups(source: &str) -> Vec<Vec<String>> {
+    let ft = generate_ft(source, &AutosvaOptions::default()).unwrap();
+    let file = svparse::parse(source).unwrap();
+    let elab_options = ElabOptions {
+        top: Some(ft.dut_name.clone()),
+        ..ElabOptions::default()
+    };
+    let design = crate::elab::elaborate(&file, &elab_options).unwrap();
+    let compiled = crate::compile::compile(&design, &ft).unwrap();
+    let mut groups: Vec<(Fingerprint, Vec<String>)> = Vec::new();
+    for p in &compiled.properties {
+        let target = match p.kind {
+            CompiledKind::Safety(i) => SliceTarget::Bad(i),
+            CompiledKind::Cover(i) => SliceTarget::Cover(i),
+            CompiledKind::Liveness(i) => SliceTarget::Liveness(i),
+            _ => continue,
+        };
+        let fp = cone_of_influence(&compiled.model, target).fingerprint;
+        let name = p.property.full_name();
+        match groups.iter_mut().find(|(seen, _)| *seen == fp) {
+            Some((_, names)) => names.push(name),
+            None => groups.push((fp, vec![name])),
+        }
+    }
+    groups.into_iter().map(|(_, names)| names).collect()
+}
+
+/// The fault-smoke contract for slice preparation: a panic inside the
+/// optimizer (the `opt.pass` site) degrades exactly the properties whose
+/// slice was being prepared to `ERROR in opt`, and every other verdict
+/// renders byte-identically, at 1 and 4 workers.  A slice is prepared
+/// (its base model and, for liveness, its liveness-to-safety product)
+/// under its first property's name, which is what the arm filters on.
+#[test]
+fn optimizer_panic_degrades_only_the_properties_on_its_slice() {
+    let _serial = fault_lock();
+    let source = opt_fault_echo();
+    let ft = generate_ft(&source, &AutosvaOptions::default()).unwrap();
+    let groups = slice_groups(&source);
+    assert!(!groups.is_empty(), "the echo design has checked properties");
+    for threads in [1usize, 4] {
+        let mut options = options_with_threads(threads);
+        options.telemetry.enabled = true;
+        let baseline = verify(&source, &ft, &options).unwrap();
+        for degraded in &groups {
+            let target = &degraded[0];
+            let faulty = {
+                let _arm = faults::arm("opt.pass", FaultAction::Panic, Some(target));
+                verify(&source, &ft, &options).unwrap()
+            };
+            assert_eq!(baseline.results.len(), faulty.results.len());
+            for (b, f) in baseline.results.iter().zip(&faulty.results) {
+                assert_eq!(b.name, f.name, "fault changed the property order");
+                if degraded.contains(&f.name) {
+                    assert_eq!(
+                        f.status,
+                        PropertyStatus::Error {
+                            engine: "opt",
+                            message: "fault injected at opt.pass".to_string(),
+                        },
+                        "`{}` (arm on `{target}`, threads {threads})",
+                        f.name
+                    );
+                    assert_eq!(f.note.as_deref(), Some(PREP_PANIC_NOTE));
+                } else {
+                    assert_eq!(
+                        rendered_verdict(b),
+                        rendered_verdict(f),
+                        "optimizer fault on `{target}`'s slice leaked into `{}` (threads {threads})",
+                        b.name
+                    );
+                }
+            }
+            assert!(
+                faulty
+                    .render()
+                    .contains("ERROR in opt: fault injected at opt.pass"),
+                "report does not surface the contained optimizer panic"
+            );
+            let telemetry = faulty.telemetry.as_ref().expect("telemetry enabled");
+            let caught: u64 = telemetry
+                .counters
+                .iter()
+                .filter(|(name, _)| *name == "robustness.panics_caught")
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(caught, 1, "exactly one contained optimizer panic");
+        }
+    }
 }
