@@ -744,6 +744,8 @@ fn verify_elaborated_inner(
         .map(|p| p.property.full_name())
         .collect();
     let opt_on = options.parallel.opt;
+    // Every worker works in the caller's scope (fault arms are scoped).
+    let scope = interrupt::current_scope();
     let run_one = |i: usize, task: &PropertyTask| {
         let _task_span = telemetry::span("task", &names[i]);
         let t0 = Instant::now();
@@ -752,7 +754,7 @@ fn verify_elaborated_inner(
             .property_timeout
             .and_then(|limit| Instant::now().checked_add(limit));
         let interrupt = Interrupt::new(deadline, None, Some(ctx.cancel.clone()));
-        interrupt::set_task_context(&names[i], interrupt.clone());
+        interrupt::set_task_context(&names[i], interrupt.clone(), scope);
         let outcome = match catch_unwind(AssertUnwindSafe(|| run_task(task, &ctx, &interrupt))) {
             Ok(outcome) => outcome,
             Err(payload) => {
@@ -789,7 +791,7 @@ fn verify_elaborated_inner(
         threads,
         &ctx.cancel,
         run_telemetry,
-        |_, job| prepare_slice(job, opt_on),
+        |_, job| prepare_slice(job, opt_on, ctx.cache.as_ref(), scope),
         |prepared| assemble_tasks(&compiled, options, &job_of, prepared),
         run_one,
     );
@@ -1027,24 +1029,31 @@ fn plan_slices(
 /// optimized first, then transformed via liveness-to-safety, and the
 /// product is optimized again (the order keeps the L2S snapshot sound: the
 /// transform always runs on the model the snapshots will be compared
-/// against).  Each step runs under [`contained`], so a panic degrades only
-/// the properties that depend on it.
-fn prepare_slice(job: SliceJob, opt_on: bool) -> Prepared<PreparedSlice> {
+/// against).  With a proof cache, each optimization is replayed from the
+/// cached optimizer witness when there is one (see [`optimized`]).  Each
+/// step runs under [`contained`], so a panic degrades only the properties
+/// that depend on it.
+fn prepare_slice(
+    job: SliceJob,
+    opt_on: bool,
+    cache: Option<&ProofCache>,
+    scope: u64,
+) -> Prepared<PreparedSlice> {
     let SliceJob {
         slice,
         owner,
         needs_l2s,
     } = job;
-    let (model, fp) = contained(&owner, "opt", || {
+    let (model, fp) = contained(&owner, "opt", scope, || {
         if opt_on {
-            crate::opt::optimize_with_fingerprint(&slice.model)
+            optimized(cache, &slice.model, || slice.fingerprint)
         } else {
             (slice.model, slice.fingerprint)
         }
     })?;
     let model = Arc::new(model);
     let l2s = needs_l2s.then(|| {
-        contained(&owner, "l2s", || {
+        contained(&owner, "l2s", scope, || {
             let _span = telemetry::span("l2s", &owner);
             let product = model.to_liveness_safety();
             if !opt_on {
@@ -1054,7 +1063,7 @@ fn prepare_slice(job: SliceJob, opt_on: bool) -> Prepared<PreparedSlice> {
             // original cone had already lost.
             interrupt::set_current_engine("opt");
             Arc::new(LivenessSafetyModel {
-                model: crate::opt::optimize(&product.model).model,
+                model: optimized(cache, &product.model, || fingerprint(&product.model)).0,
                 property_names: product.property_names,
             })
         })
@@ -1062,11 +1071,38 @@ fn prepare_slice(job: SliceJob, opt_on: bool) -> Prepared<PreparedSlice> {
     Ok(PreparedSlice { model, fp, l2s })
 }
 
-/// Runs one preparation step as `owner`'s task with engine tag `engine`,
-/// turning a panic into the [`PropertyStatus::Error`] of the properties
-/// that depend on the step (tagged with the stage that was running).
-fn contained<T>(owner: &str, engine: &'static str, step: impl FnOnce() -> T) -> Prepared<T> {
-    interrupt::set_task_context(owner, Interrupt::none());
+/// `model` optimized, with its fingerprint.  With a proof cache, the
+/// witness cached under `model`'s own fingerprint (`raw`) is replayed
+/// instead of running the sweeps; without one, or when the replay fails,
+/// the optimizer runs and its witness is stored for the next run.
+fn optimized(
+    cache: Option<&ProofCache>,
+    model: &Model,
+    raw: impl FnOnce() -> Fingerprint,
+) -> (Model, Fingerprint) {
+    let Some(cache) = cache else {
+        return crate::opt::optimize_with_fingerprint(model);
+    };
+    let raw = raw();
+    if let Some(hit) = cache.replay_optimized(raw, model) {
+        return hit;
+    }
+    let result = crate::opt::optimize(model);
+    cache.store_witness(raw, result.witness, result.fingerprint);
+    (result.model, result.fingerprint)
+}
+
+/// Runs one preparation step as `owner`'s task (in the run's `scope`)
+/// with engine tag `engine`, turning a panic into the
+/// [`PropertyStatus::Error`] of the properties that depend on the step
+/// (tagged with the stage that was running).
+fn contained<T>(
+    owner: &str,
+    engine: &'static str,
+    scope: u64,
+    step: impl FnOnce() -> T,
+) -> Prepared<T> {
+    interrupt::set_task_context(owner, Interrupt::none(), scope);
     interrupt::set_current_engine(engine);
     let outcome = catch_unwind(AssertUnwindSafe(step)).map_err(|payload| {
         telemetry::count("robustness.panics_caught", 1);

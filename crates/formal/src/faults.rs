@@ -12,11 +12,16 @@
 //! ```
 //!
 //! Tests arm a site with [`arm`], which returns a guard that disarms on
-//! drop.  Because `cargo test` runs many tests in one process, every arm
-//! can carry a *property filter*: the fault only fires while the
-//! thread-local task context (see [`crate::interrupt`]) says the named
-//! property is running, so concurrently running tests do not trip each
-//! other's faults.
+//! drop.  `cargo test` runs many tests at once in one process, often on
+//! the same designs and property names, so a property filter alone cannot
+//! keep them apart.  Every arm is therefore *scoped*: it records the scope
+//! token of the thread that armed it ([`interrupt::current_scope`]), the
+//! checker carries the calling thread's token into every worker's task
+//! context, and a site fires only for arms of the scope it runs in.  A
+//! site holds any number of arms, one per test if need be.  On top of the
+//! scope, an arm can carry a *property filter*: the fault only fires while
+//! the thread-local task context (see [`crate::interrupt`]) says the named
+//! property is running.
 //!
 //! The three actions map to the three fault classes the containment
 //! layer must absorb:
@@ -53,6 +58,8 @@ pub enum FaultAction {
 #[derive(Debug, Clone)]
 struct Arm {
     action: FaultAction,
+    /// The scope token of the arming thread.
+    scope: u64,
     /// Fire only while this property is running (`None` = any task).
     property: Option<String>,
     /// Fire at most this many times (`u64::MAX` = every hit).
@@ -63,8 +70,9 @@ struct Arm {
 
 static ARM_ID: AtomicU64 = AtomicU64::new(1);
 
-fn registry() -> &'static Mutex<HashMap<&'static str, Arm>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, Arm>>> = OnceLock::new();
+/// Every live arm, by site.
+fn registry() -> &'static Mutex<HashMap<&'static str, Vec<Arm>>> {
+    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, Vec<Arm>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -78,16 +86,20 @@ pub struct FaultGuard {
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         let mut map = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        if map.get(self.site).is_some_and(|arm| arm.id == self.id) {
-            map.remove(self.site);
+        if let Some(arms) = map.get_mut(self.site) {
+            arms.retain(|arm| arm.id != self.id);
+            if arms.is_empty() {
+                map.remove(self.site);
+            }
         }
     }
 }
 
-/// Arms `site` with `action`, firing only while `property` (if given)
-/// is the current task.  Re-arming a site replaces the previous arm.
-/// The fault fires on every hit until the guard drops; use
-/// [`arm_once`] for a single-shot fault.
+/// Arms `site` with `action` in the calling thread's scope, firing only
+/// while `property` (if given) is the current task.  Arming a site again
+/// adds another arm; a hit fires the oldest one that matches.  The fault
+/// fires on every hit until the guard drops; use [`arm_once`] for a
+/// single-shot fault.
 pub fn arm(site: &'static str, action: FaultAction, property: Option<&str>) -> FaultGuard {
     arm_with_count(site, action, property, u64::MAX)
 }
@@ -106,6 +118,7 @@ fn arm_with_count(
     let id = ARM_ID.fetch_add(1, Ordering::Relaxed);
     let arm = Arm {
         action,
+        scope: interrupt::current_scope(),
         property: property.map(str::to_string),
         remaining: count,
         id,
@@ -113,13 +126,16 @@ fn arm_with_count(
     registry()
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .insert(site, arm);
+        .entry(site)
+        .or_default()
+        .push(arm);
     FaultGuard { site, id }
 }
 
-/// A named injection site.  No-op unless a test armed `site` (and the
-/// arm's property filter matches the current task).  Engines call this
-/// at the same places they poll their interrupt handle.
+/// A named injection site.  No-op unless `site` holds an arm of the
+/// current scope whose property filter matches the current task and whose
+/// count is not spent.  Engines call this at the same places they poll
+/// their interrupt handle.
 pub fn point(site: &str) {
     // Fast path: completely unarmed harness.  One uncontended lock; the
     // map is almost always empty.
@@ -128,18 +144,21 @@ pub fn point(site: &str) {
         if map.is_empty() {
             return;
         }
-        let Some(arm) = map.get_mut(site) else {
+        let Some(arms) = map.get_mut(site) else {
             return;
         };
-        if let Some(wanted) = &arm.property {
-            let running = interrupt::current_task().map(|c| c.property);
-            if running.as_deref() != Some(wanted.as_str()) {
-                return;
-            }
-        }
-        if arm.remaining == 0 {
+        let scope = interrupt::current_scope();
+        let running = interrupt::current_task().map(|c| c.property);
+        let Some(arm) = arms.iter_mut().find(|arm| {
+            arm.scope == scope
+                && arm.remaining > 0
+                && arm
+                    .property
+                    .as_deref()
+                    .is_none_or(|wanted| running.as_deref() == Some(wanted))
+        }) else {
             return;
-        }
+        };
         if arm.remaining != u64::MAX {
             arm.remaining -= 1;
         }
@@ -181,7 +200,11 @@ mod tests {
             FaultAction::Panic,
             Some("as__someone_else"),
         );
-        interrupt::set_task_context("as__this_test", Interrupt::none());
+        interrupt::set_task_context(
+            "as__this_test",
+            Interrupt::none(),
+            interrupt::current_scope(),
+        );
         point("tests.filtered"); // filter mismatch: no panic
         interrupt::clear_task_context();
         point("tests.filtered"); // no task at all: no panic
@@ -202,7 +225,11 @@ mod tests {
     #[test]
     fn timeout_action_latches_the_current_interrupt() {
         let interrupt = Interrupt::new(None, None, None);
-        interrupt::set_task_context("as__timeout_probe", interrupt.clone());
+        interrupt::set_task_context(
+            "as__timeout_probe",
+            interrupt.clone(),
+            interrupt::current_scope(),
+        );
         let _g = arm(
             "tests.spurious_timeout",
             FaultAction::Timeout,
@@ -216,15 +243,62 @@ mod tests {
     #[test]
     fn arm_once_fires_exactly_once() {
         let interrupt = Interrupt::new(None, None, None);
-        interrupt::set_task_context("as__once_probe", interrupt.clone());
+        interrupt::set_task_context(
+            "as__once_probe",
+            interrupt.clone(),
+            interrupt::current_scope(),
+        );
         let _g = arm_once("tests.once", FaultAction::Timeout, Some("as__once_probe"));
         point("tests.once");
         assert_eq!(interrupt.triggered(), Some(InterruptReason::Timeout));
         // A second hit would need a fresh interrupt to observe; the
         // remaining-count reaching zero is what we assert here.
         let map = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(map.get("tests.once").map(|a| a.remaining), Some(0));
+        let remaining: Vec<u64> = map["tests.once"].iter().map(|a| a.remaining).collect();
+        assert_eq!(remaining, vec![0]);
         drop(map);
         interrupt::clear_task_context();
+    }
+
+    #[test]
+    fn arms_fire_only_in_the_scope_that_set_them() {
+        let _g = arm("tests.scoped", FaultAction::Panic, Some("as__shared_name"));
+        // Another thread (another test's run) with the same property name.
+        std::thread::spawn(|| {
+            interrupt::set_task_context(
+                "as__shared_name",
+                Interrupt::none(),
+                interrupt::current_scope(),
+            );
+            point("tests.scoped"); // foreign scope: no panic
+            interrupt::clear_task_context();
+        })
+        .join()
+        .expect("a foreign scope never fires the arm");
+        // A worker carrying the arming thread's scope does fire it.
+        let scope = interrupt::current_scope();
+        let worker = std::thread::spawn(move || {
+            interrupt::set_task_context("as__shared_name", Interrupt::none(), scope);
+            point("tests.scoped");
+        });
+        assert!(worker.join().is_err(), "the run's own scope fires the arm");
+    }
+
+    #[test]
+    fn a_site_holds_one_arm_per_scope() {
+        let interrupt = Interrupt::new(None, None, None);
+        let _mine = arm("tests.shared_site", FaultAction::Timeout, None);
+        let other = std::thread::spawn(|| arm("tests.shared_site", FaultAction::Panic, None))
+            .join()
+            .expect("arming never panics");
+        interrupt::set_task_context(
+            "as__shared_probe",
+            interrupt.clone(),
+            interrupt::current_scope(),
+        );
+        point("tests.shared_site"); // the other arm neither replaced nor preempted ours
+        interrupt::clear_task_context();
+        assert_eq!(interrupt.triggered(), Some(InterruptReason::Timeout));
+        drop(other);
     }
 }

@@ -218,7 +218,11 @@ thread_local! {
     /// fault-injection harness (site filters, forced timeouts) and by
     /// the panic handler (to attribute a caught panic to an engine).
     static TASK_CONTEXT: RefCell<Option<TaskContext>> = const { RefCell::new(None) };
+    /// This thread's own scope token, drawn on first use.
+    static THREAD_SCOPE: u64 = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
 }
+
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
 
 /// Thread-local description of the property task currently running.
 #[derive(Debug, Clone)]
@@ -230,17 +234,24 @@ pub struct TaskContext {
     /// Engine tag for the current cascade stage (`"fuzz"`, `"bmc"`,
     /// `"pdr"`, `"explicit"`, or `"task"` outside any engine).
     pub engine: &'static str,
+    /// The scope token of the thread that started the run (see
+    /// [`current_scope`]); the fault-injection harness fires an arm only
+    /// in the scope that set it.
+    pub scope: u64,
 }
 
 /// Installs the task context for this thread.  Deliberately *not* a
 /// drop-restoring guard: a panic must leave the context in place so the
 /// `catch_unwind` handler can still read which engine was running.
-pub fn set_task_context(property: &str, interrupt: Interrupt) {
+/// `scope` is the run's token, taken with [`current_scope`] on the thread
+/// that started the run.
+pub fn set_task_context(property: &str, interrupt: Interrupt, scope: u64) {
     TASK_CONTEXT.with(|slot| {
         *slot.borrow_mut() = Some(TaskContext {
             property: property.to_string(),
             interrupt,
             engine: "task",
+            scope,
         });
     });
 }
@@ -268,6 +279,17 @@ pub fn set_current_engine(engine: &'static str) {
 /// context is installed.
 pub fn current_engine() -> &'static str {
     TASK_CONTEXT.with(|slot| slot.borrow().as_ref().map(|c| c.engine).unwrap_or("task"))
+}
+
+/// The scope this thread works in: the task context's run scope while a
+/// task runs, otherwise a token unique to the thread.  A run takes it on
+/// the calling thread and hands it to every worker's task context, so
+/// everything the run does shares its caller's scope, and two runs started
+/// by different threads never do.
+pub fn current_scope() -> u64 {
+    TASK_CONTEXT
+        .with(|slot| slot.borrow().as_ref().map(|c| c.scope))
+        .unwrap_or_else(|| THREAD_SCOPE.with(|&scope| scope))
 }
 
 /// A clone of the current thread's task context, if any.
@@ -336,7 +358,7 @@ mod tests {
 
     #[test]
     fn task_context_tracks_engine_tags() {
-        set_task_context("as__probe", Interrupt::none());
+        set_task_context("as__probe", Interrupt::none(), current_scope());
         assert_eq!(current_engine(), "task");
         set_current_engine("pdr");
         assert_eq!(current_engine(), "pdr");

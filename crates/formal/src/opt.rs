@@ -60,6 +60,31 @@
 //! inputs are provably irrelevant to all roots) and PDR invariants carry
 //! over unchanged.
 //!
+//! # Witnesses and replay
+//!
+//! Each pass is an analysis (`analyze`: the constants and the two sweeps,
+//! boiled down to one `node -> representative` fact list) followed by a
+//! [`rebuild`] that substitutes the representatives.  [`optimize`] records
+//! the fact list of every pass that changed the model as an
+//! [`OptWitness`], and [`replay`] turns a witness back into the optimized
+//! model with one SAT query per pass instead of the sweeps' many.  The
+//! proof cache stores a witness per prepared model, so a warm run replays
+//! instead of re-optimizing.
+//!
+//! Replay trusts nothing in the witness.  Per pass it checks the facts'
+//! structure (in-range nodes, strictly earlier representatives, latches
+//! onto latches or constants only), that every latch fact holds at reset,
+//! and, in a single query over one free frame, that the latch facts are
+//! *inductive* — assuming them and the invariant constraints on the
+//! current state, no transition breaks one — and that every gate fact
+//! holds wherever the latch facts do.  That is exactly the argument that
+//! makes the sweeps' merges sound: the facts hold on every state an engine
+//! evaluates (reset, or a successor of a constraint-satisfying state where
+//! they hold), so substituting representatives preserves every root.  A
+//! witness that passes yields a sound model whatever produced it; a
+//! forged or stale one at worst costs a rejection and a fresh
+//! optimization.
+//!
 //! Constants discovered here are also reported by name so the Level-1 lint
 //! pass ([`crate::lint`]) can surface "register is stuck at its reset
 //! value" diagnostics from the same analysis.
@@ -67,7 +92,7 @@
 use crate::aig::{Aig, Latch, Lit, Node};
 use crate::coi::{fingerprint, Fingerprint};
 use crate::model::{BadProperty, CoverProperty, Model, ResponseProperty};
-use crate::sat::{SatLit, SatResult};
+use crate::sat::{SatLit, SatResult, Solver, Var};
 use crate::unroll::Unroller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,19 +206,48 @@ fn lit_val(vals: &[TVal], l: Lit) -> TVal {
     }
 }
 
-/// The result of [`optimize`]: the rewritten model plus the latches proven
-/// constant, by their original names.
+/// The result of [`optimize`]: the rewritten model, its fingerprint, the
+/// latches proven constant by their original names, and the witness that
+/// lets [`replay`] rebuild the same model without the sweeps.
 #[derive(Debug, Clone)]
 pub struct OptResult {
     /// The optimized, functionally equivalent model.
     pub model: Model,
+    /// The content fingerprint of `model`.
+    pub fingerprint: Fingerprint,
     /// Latches proven stuck at their reset value across all passes, as
     /// `(name, value)` in discovery order (deduplicated by name).
     pub constant_latches: Vec<(String, bool)>,
+    /// The facts every model-changing pass merged on.
+    pub witness: OptWitness,
+}
+
+/// Bumped whenever a change to this module changes what [`optimize`]
+/// computes for some input.  Cached witnesses carry it, and one from
+/// another version is ignored: replaying it would still be sound (the
+/// check does not trust the optimizer), but it would rebuild the old
+/// optimizer's model, so a warm run would report other cone sizes than a
+/// cold one.  `tests/opt_golden.rs` pins this version to the optimizer
+/// golden file, so regenerating the golden forces a bump.
+pub const OPT_VERSION: u32 = 1;
+
+/// A checkable record of one [`optimize`] run: for every pass that changed
+/// the model, the facts the pass merged on, as `(node, representative)`
+/// pairs in that pass's node indices, sorted by node.  The pass that only
+/// confirms the fixpoint contributes nothing.
+///
+/// A latch's representative is an earlier latch (possibly inverted) or a
+/// constant; an AND node's is any earlier node or a constant.  Latch facts
+/// are the van Eijk equivalences and stuck-at constants, gate facts the
+/// FRAIG equivalences.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OptWitness {
+    /// One fact list per model-changing pass, in pass order.
+    pub passes: Vec<Vec<(usize, Lit)>>,
 }
 
 /// Upper bound on rewrite passes; real models stabilize in two or three.
-const MAX_PASSES: usize = 8;
+pub(crate) const MAX_PASSES: usize = 8;
 
 /// Optimizes a model: constant sweeping, two-level AND rewriting and
 /// dead-node elimination, repeated to a fingerprint fixpoint.
@@ -212,18 +266,22 @@ pub fn optimize(model: &Model) -> OptResult {
     let mut current = model.clone();
     let mut fp = fingerprint(&current);
     let mut constants: Vec<(String, bool)> = Vec::new();
+    let mut witness = OptWitness::default();
     for _ in 0..MAX_PASSES {
-        let next = {
+        let (facts, next) = {
             let _pass_span = crate::telemetry::span("opt.pass", "");
             crate::telemetry::count("opt.passes", 1);
             #[cfg(any(test, feature = "fault-injection"))]
             crate::faults::point("opt.pass");
-            one_pass(&current, &mut constants)
+            let facts = analyze(&current, &mut constants);
+            let next = rebuild(&current, &facts);
+            (facts, next)
         };
         let next_fp = fingerprint(&next);
         if next_fp == fp {
             break;
         }
+        witness.passes.push(facts);
         current = next;
         fp = next_fp;
     }
@@ -231,15 +289,164 @@ pub fn optimize(model: &Model) -> OptResult {
     crate::telemetry::count("opt.latches_after", current.aig.num_latches() as u64);
     OptResult {
         model: current,
+        fingerprint: fp,
         constant_latches: constants,
+        witness,
     }
 }
 
 /// Convenience wrapper: the optimized model together with its fingerprint.
 pub fn optimize_with_fingerprint(model: &Model) -> (Model, Fingerprint) {
-    let optimized = optimize(model).model;
-    let fp = fingerprint(&optimized);
-    (optimized, fp)
+    let result = optimize(model);
+    (result.model, result.fingerprint)
+}
+
+/// Rebuilds the model [`optimize`] produced from `model`, by checking and
+/// applying `witness` instead of re-running the sweeps.  Returns `None`
+/// (never panics) when any pass fails a check.
+///
+/// Each pass is checked against the model the previous pass rebuilt:
+///
+/// * **structure** — facts are sorted by node, every node is in range and
+///   non-zero, every representative has a smaller index than its node; a
+///   latch redirects only to a latch or a constant, an AND node to any
+///   earlier node, and nothing else is redirected;
+/// * **reset** — every latch fact holds in the initial state;
+/// * **induction** — one SAT query over one frame (see `facts_inductive`)
+///   shows that the latch facts are preserved by every transition from a
+///   state satisfying them and the invariant constraints, and that the
+///   gate facts hold in every state satisfying the latch facts.
+///
+/// The facts then hold in every state any engine evaluates: the initial
+/// state, and successors of constraint-satisfying states where they hold.
+/// This is the soundness argument of `latch_equivalences`, checked once
+/// instead of searched for; substituting representatives there preserves
+/// every root's value, so the rebuilt model keeps every verdict, trace and
+/// invariant of the original.  No part of it trusts the optimizer, so a
+/// forged, stale or corrupted witness can cost a re-optimization but never
+/// change a verdict.
+pub fn replay(model: &Model, witness: &OptWitness) -> Option<Model> {
+    let _span = crate::telemetry::span("opt.replay", "");
+    #[cfg(any(test, feature = "fault-injection"))]
+    crate::faults::point("opt.replay");
+    if witness.passes.len() > MAX_PASSES {
+        return None;
+    }
+    let mut current: Option<Model> = None;
+    for facts in &witness.passes {
+        let pass_model = current.as_ref().unwrap_or(model);
+        if !(facts_well_formed(&pass_model.aig, facts)
+            && facts_hold_at_reset(&pass_model.aig, facts)
+            && facts_inductive(pass_model, facts))
+        {
+            return None;
+        }
+        current = Some(rebuild(pass_model, facts));
+    }
+    let result = current.unwrap_or_else(|| model.clone());
+    crate::telemetry::count("opt.gates_before", model.aig.num_ands() as u64);
+    crate::telemetry::count("opt.latches_before", model.aig.num_latches() as u64);
+    crate::telemetry::count("opt.gates_after", result.aig.num_ands() as u64);
+    crate::telemetry::count("opt.latches_after", result.aig.num_latches() as u64);
+    Some(result)
+}
+
+/// The structural check of [`replay`]: sorted, in-range, non-zero nodes;
+/// representatives strictly earlier; latches onto latches or constants,
+/// AND nodes onto anything earlier, no other node redirected.
+fn facts_well_formed(aig: &Aig, facts: &[(usize, Lit)]) -> bool {
+    let mut previous = 0usize;
+    facts.iter().all(|&(node, rep)| {
+        let ordered = node > previous && node < aig.num_nodes() && rep.node() < node;
+        previous = node;
+        ordered
+            && match aig.node(node) {
+                Node::Latch => rep.is_const() || matches!(aig.node(rep.node()), Node::Latch),
+                Node::And(..) => true,
+                Node::False | Node::Input => false,
+            }
+    })
+}
+
+/// The reset check of [`replay`]: a constant latch fact matches the
+/// latch's initial value, and a merged pair's initial values agree up to
+/// the fact's polarity.  Gate facts say nothing about reset.
+fn facts_hold_at_reset(aig: &Aig, facts: &[(usize, Lit)]) -> bool {
+    let mut init: Vec<Option<bool>> = vec![None; aig.num_nodes()];
+    init[0] = Some(false);
+    for latch in aig.latches() {
+        init[latch.node] = Some(latch.init);
+    }
+    facts.iter().all(|&(node, rep)| match init[node] {
+        None => true, // a gate fact
+        Some(value) => init[rep.node()].map(|r| r ^ rep.is_inverted()) == Some(value),
+    })
+}
+
+/// The induction check of [`replay`], as one SAT query over one free
+/// frame: with every latch fact asserted on the current state, it asks
+/// for either a transition, from a state that also satisfies the invariant
+/// constraints, after which some latch fact fails, or a current state in
+/// which some gate fact fails.  `true` when the query is unsatisfiable.
+///
+/// The constraints guard only the latch half.  An engine evaluates a
+/// state's gates, including the constraint literals themselves, even when
+/// that state violates a constraint, so a gate fact must hold there too.
+fn facts_inductive(model: &Model, facts: &[(usize, Lit)]) -> bool {
+    if facts.is_empty() {
+        return true;
+    }
+    let aig = &model.aig;
+    // One variable per node of the free frame; node 0 is false.
+    let mut solver = Solver::new();
+    let vars: Vec<Var> = (0..aig.num_nodes()).map(|_| solver.new_var()).collect();
+    let sat = |l: Lit| SatLit::new(vars[l.node()], !l.is_inverted());
+    solver.add_clause(&[sat(Lit::TRUE)]);
+    for (idx, &var) in vars.iter().enumerate().skip(1) {
+        if let Node::And(a, b) = aig.node(idx) {
+            let (out, a, b) = (SatLit::pos(var), sat(a), sat(b));
+            solver.add_clause(&[out.negate(), a]);
+            solver.add_clause(&[out.negate(), b]);
+            solver.add_clause(&[a.negate(), b.negate(), out]);
+        }
+    }
+    let mut next_of: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    for latch in aig.latches() {
+        next_of[latch.node] = Some(latch.next);
+    }
+    // differ -> (a XOR b).
+    let miter = |solver: &mut Solver, a: SatLit, b: SatLit| {
+        let differ = SatLit::pos(solver.new_var());
+        solver.add_clause(&[differ.negate(), a, b]);
+        solver.add_clause(&[differ.negate(), a.negate(), b.negate()]);
+        differ
+    };
+    let latch_fails = SatLit::pos(solver.new_var());
+    let gate_fails = SatLit::pos(solver.new_var());
+    let mut latch_misses = vec![latch_fails.negate()];
+    let mut gate_misses = vec![gate_fails.negate()];
+    for &(node, rep) in facts {
+        let (now, rep_now) = (sat(Lit::new(node, false)), sat(rep));
+        match next_of[node] {
+            Some(next) => {
+                // Assumed now ...
+                solver.add_clause(&[now.negate(), rep_now]);
+                solver.add_clause(&[now, rep_now.negate()]);
+                // ... and refuted next (a constant is its own next).
+                let rep_next = next_of[rep.node()].map_or(rep, |n| n.invert_if(rep.is_inverted()));
+                latch_misses.push(miter(&mut solver, sat(next), sat(rep_next)));
+            }
+            None => gate_misses.push(miter(&mut solver, now, rep_now)),
+        }
+    }
+    solver.add_clause(&latch_misses);
+    solver.add_clause(&gate_misses);
+    // The constraints hold on the current state of a latch refutation.
+    for &c in &model.constraints {
+        solver.add_clause(&[latch_fails.negate(), sat(c)]);
+    }
+    solver.add_clause(&[latch_fails, gate_fails]);
+    matches!(solver.solve(&[]), SatResult::Unsat)
 }
 
 /// Number of 64-bit random stimulus words per sequential simulation run.
@@ -670,10 +877,12 @@ fn is_and(aig: &Aig, node: usize) -> bool {
     matches!(aig.node(node), Node::And(..))
 }
 
-/// One sweep of constant substitution + equivalence merging + rewriting
-/// rebuild + dead-node elimination.  Newly proven constant latches are
+/// The analysis half of one pass: every fact the pass merges on, as
+/// `(node, representative)` pairs sorted by node.  Constants win over
+/// latch merges, which win over gate merges; a representative always has
+/// a smaller node index than its node.  Newly proven constant latches are
 /// appended to `constants`.
-fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
+fn analyze(model: &Model, constants: &mut Vec<(String, bool)>) -> Vec<(usize, Lit)> {
     let aig = &model.aig;
     let consts = constant_latches(aig);
     let latch_equiv = latch_equivalences(model);
@@ -693,16 +902,34 @@ fn one_pass(model: &Model, constants: &mut Vec<(String, bool)>) -> Model {
             constants.push((name, value));
         }
     }
-    // Where a node's fanout should be redirected, if anywhere: constants
-    // win over latch merges, which win over gate merges.  Targets always
-    // have a smaller node index, so redirections resolve in node order
-    // without chains.
-    let mut redirect: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
-    for (&node, &rep) in gate_equiv.iter().chain(&latch_equiv) {
-        redirect[node] = Some(rep);
+    let mut facts: BTreeMap<usize, Lit> = gate_equiv;
+    facts.extend(latch_equiv);
+    for (node, value) in consts {
+        facts.insert(node, if value { Lit::TRUE } else { Lit::FALSE });
     }
-    for &(node, value) in &consts {
-        redirect[node] = Some(if value { Lit::TRUE } else { Lit::FALSE });
+    facts.into_iter().collect()
+}
+
+/// The rebuild half of one pass: substitutes every fact's representative
+/// for its node, rebuilds the reachable logic in node order through the
+/// two-level rewrite rules and drops dead nodes.
+///
+/// `facts` must be sorted by node, with every node in range and every
+/// representative at a smaller index (what `analyze` produces and
+/// [`replay`] checks); otherwise this panics.  Whether the facts hold is
+/// the caller's concern: [`optimize`] derives them, [`replay`] checks them.
+///
+/// Public for tests, which use it to compute the model a forged witness
+/// claims to rebuild; everything else wants [`replay`], which checks the
+/// facts first.
+pub fn rebuild(model: &Model, facts: &[(usize, Lit)]) -> Model {
+    let aig = &model.aig;
+    // Where a node's fanout should be redirected, if anywhere.  Targets
+    // always have a smaller node index, so redirections resolve in node
+    // order without chains.
+    let mut redirect: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
+    for &(node, rep) in facts {
+        redirect[node] = Some(rep);
     }
     // Dense `node -> latch` table.
     let mut latch_of: Vec<Option<&Latch>> = vec![None; aig.num_nodes()];
@@ -1057,5 +1284,158 @@ mod tests {
         assert_eq!(opt.covers[0].name, "c0");
         assert_eq!(opt.liveness[0].name, "resp");
         assert_eq!(opt.constraints.len(), model.constraints.len());
+    }
+
+    /// Latches `a`, `b` (both follow `x`, reset 0), `c` (follows `!x`,
+    /// reset 1) and `d` (toggles on `x`, reset 0), a gate `g` and a
+    /// structurally different copy `h` of it, all observed by one bad.
+    fn merge_model() -> (Model, [Lit; 7]) {
+        let mut aig = Aig::new();
+        let x = aig.add_input("x");
+        let a = aig.add_latch("a", false);
+        let b = aig.add_latch("b", false);
+        let c = aig.add_latch("c", true);
+        let d = aig.add_latch("d", false);
+        aig.set_latch_next(a, x);
+        aig.set_latch_next(b, x);
+        aig.set_latch_next(c, x.invert());
+        let toggled = aig.xor(d, x);
+        aig.set_latch_next(d, toggled);
+        let g = aig.and(x, a);
+        let h = aig.and(g, a);
+        let ab = aig.and(b, c.invert());
+        let abd = aig.and(ab, d);
+        let bad = aig.and(abd, h);
+        let mut model = Model::new(aig);
+        model.bads.push(BadProperty {
+            name: "merged".into(),
+            lit: bad,
+        });
+        (model, [x, a, b, c, d, g, h])
+    }
+
+    fn one_pass_witness(mut facts: Vec<(usize, Lit)>) -> OptWitness {
+        facts.sort_unstable_by_key(|&(node, _)| node);
+        OptWitness {
+            passes: vec![facts],
+        }
+    }
+
+    #[test]
+    fn an_optimizer_witness_replays_to_the_optimized_model() {
+        for model in [sample_model(), merge_model().0] {
+            let result = optimize(&model);
+            assert!(!result.witness.passes.is_empty());
+            let replayed = replay(&model, &result.witness).expect("own witness checks");
+            assert_eq!(fingerprint(&replayed), result.fingerprint);
+            assert_eq!(fingerprint(&result.model), result.fingerprint);
+        }
+        // Genuine facts: b = a, c = !a, h = g.
+        let (model, [_, a, b, c, _, g, h]) = merge_model();
+        let genuine = one_pass_witness(vec![(b.node(), a), (c.node(), a.invert()), (h.node(), g)]);
+        assert!(replay(&model, &genuine).is_some());
+    }
+
+    #[test]
+    fn forged_witnesses_are_rejected() {
+        let (model, [x, a, b, c, d, g, h]) = merge_model();
+        let n = model.aig.num_nodes();
+        let forgeries: Vec<(&str, OptWitness)> = vec![
+            // Same reset value, different next state: fails induction.
+            ("false latch merge", one_pass_witness(vec![(d.node(), a)])),
+            // g = x & a is not x.
+            ("false gate merge", one_pass_witness(vec![(g.node(), x)])),
+            (
+                "flipped latch polarity",
+                one_pass_witness(vec![(b.node(), a.invert())]),
+            ),
+            (
+                "flipped gate polarity",
+                one_pass_witness(vec![(h.node(), g.invert())]),
+            ),
+            ("reset disagreement", one_pass_witness(vec![(c.node(), a)])),
+            (
+                "constant off its reset",
+                one_pass_witness(vec![(a.node(), Lit::TRUE)]),
+            ),
+            (
+                "representative not earlier",
+                one_pass_witness(vec![(a.node(), b)]),
+            ),
+            ("self representative", one_pass_witness(vec![(b.node(), b)])),
+            (
+                "node out of range",
+                one_pass_witness(vec![(n + 3, Lit::FALSE)]),
+            ),
+            (
+                "representative out of range",
+                one_pass_witness(vec![(b.node(), Lit::new(n + 3, false))]),
+            ),
+            ("node zero", one_pass_witness(vec![(0, Lit::FALSE)])),
+            (
+                "input redirected",
+                one_pass_witness(vec![(x.node(), Lit::FALSE)]),
+            ),
+            ("latch onto a gate", one_pass_witness(vec![(d.node(), x)])),
+            (
+                "duplicate fact",
+                OptWitness {
+                    passes: vec![vec![(b.node(), a), (b.node(), a)]],
+                },
+            ),
+            (
+                "unsorted facts",
+                OptWitness {
+                    passes: vec![vec![(c.node(), a.invert()), (b.node(), a)]],
+                },
+            ),
+            (
+                "too many passes",
+                OptWitness {
+                    passes: vec![Vec::new(); MAX_PASSES + 1],
+                },
+            ),
+        ];
+        for (what, witness) in forgeries {
+            assert!(replay(&model, &witness).is_none(), "{what} was accepted");
+        }
+        // A later pass is checked against the model the earlier one built:
+        // the raw model's last gate is out of range there.
+        let mut extended = optimize(&model).witness;
+        extended.passes.push(vec![(n - 1, Lit::FALSE)]);
+        assert!(replay(&model, &extended).is_none());
+    }
+
+    #[test]
+    fn constraints_guard_latch_facts_but_not_gate_facts() {
+        // `b` follows `x | y` and `a` follows `x`; the constraint `!y`
+        // makes them equal on every state an engine evaluates.
+        let mut aig = Aig::new();
+        let x = aig.add_input("x");
+        let y = aig.add_input("y");
+        let a = aig.add_latch("a", false);
+        let b = aig.add_latch("b", false);
+        aig.set_latch_next(a, x);
+        let x_or_y = aig.or(x, y);
+        aig.set_latch_next(b, x_or_y);
+        let x_not_y = aig.and(x, y.invert());
+        let both = aig.and(a, b);
+        let bad = aig.and(both, x_not_y);
+        let mut model = Model::new(aig);
+        model.bads.push(BadProperty {
+            name: "p".into(),
+            lit: bad,
+        });
+        model.constraints.push(y.invert());
+        let latch_fact = one_pass_witness(vec![(b.node(), a)]);
+        assert!(replay(&model, &latch_fact).is_some());
+        // `x & !y` equals `x` only where the constraint holds, but an
+        // engine also evaluates the constraint's own cone on the state
+        // that violates it: the gate fact must hold unconditionally.
+        let gate_fact = one_pass_witness(vec![(x_not_y.node(), x)]);
+        assert!(replay(&model, &gate_fact).is_none());
+        let mut unconstrained = model.clone();
+        unconstrained.constraints.clear();
+        assert!(replay(&unconstrained, &latch_fact).is_none());
     }
 }

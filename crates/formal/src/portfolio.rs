@@ -29,15 +29,18 @@
 //!   validation are evicted and the property is re-verified from scratch.
 //!   The cache can spill to disk
 //!   ([`ProofCache::open`]/[`ProofCache::flush`]) — only these
-//!   re-checkable kinds cross the process boundary.
+//!   re-checkable kinds cross the process boundary.  It also keeps each
+//!   prepared model's optimizer witness, which a warm run replays with one
+//!   checked SAT query instead of re-running the optimizer.
 
 use crate::aig::Lit;
 use crate::coi::Fingerprint;
 use crate::model::{BadProperty, Model};
+use crate::opt::{OptWitness, OPT_VERSION};
 use crate::pdr::Invariant;
 use crate::sat::{ClausePool, SolverConfig};
 use crate::sim::Simulator;
-use crate::trace::Trace;
+use crate::trace::{SignalTrace, Trace};
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
@@ -507,9 +510,22 @@ struct CacheEntry {
     unvalidated: bool,
 }
 
+/// A cached optimizer witness, keyed by the fingerprint of the model that
+/// was handed to the optimizer.
+#[derive(Debug, Clone)]
+struct WitnessEntry {
+    /// `None` when the record's body was damaged on disk but its key
+    /// survived: the first lookup rejects it like a failed check.
+    witness: Option<Arc<OptWitness>>,
+    /// Fingerprint of the optimized model the witness rebuilds; a replay
+    /// that rebuilds anything else is rejected.
+    optimized: Fingerprint,
+}
+
 #[derive(Default)]
 struct CacheInner {
     entries: HashMap<CacheKey, CacheEntry>,
+    witnesses: HashMap<Fingerprint, WitnessEntry>,
     stats: CacheStats,
     /// On-disk spill file (None for a purely in-memory cache).
     path: Option<PathBuf>,
@@ -539,6 +555,34 @@ struct CacheInner {
 /// spill file.  A stale, garbled or hand-forged file can therefore cost a
 /// re-verification but never mislead a report.
 ///
+/// The cache also holds one optimizer witness ([`crate::opt::OptWitness`])
+/// per prepared model, keyed by the fingerprint of the model handed to the
+/// optimizer (a raw slice, or a liveness slice's liveness-to-safety
+/// product) and stored with the fingerprint of the model it rebuilds.  A
+/// warm run replays the witness instead of re-running the optimizer.
+/// Every replay is checked in full by [`crate::opt::replay`], whether the
+/// witness came from the spill file or from this process: the check costs
+/// a fraction of the optimizer, and every run against a cache directory
+/// reads its witnesses from the file anyway.  Soundness rests on that
+/// check alone; the recorded fingerprint only keeps a damaged but
+/// still sound witness from rebuilding a different model, whose verdicts
+/// would miss and whose report could differ in cone sizes.  Witnesses are
+/// not verdicts: [`CacheStats`] does not count them, the telemetry
+/// counters `opt.replayed` and `opt.replay_rejected` do.
+///
+/// # Spill format (`autosva-proof-cache v2`)
+///
+/// A header line, then the verdict records (an `entry <fingerprint>
+/// <property>` line and its artifact lines), then the witness records, each
+/// sorted by key.  A witness record is one `witness <raw fingerprint>
+/// <optimizer version> <optimized fingerprint> <passes>` line followed by
+/// one `pass` line per pass listing `node literal` pairs in decimal (the
+/// literal in its raw `2 * node + inverted` form).  A witness of another
+/// [`crate::opt::OPT_VERSION`] is skipped.  A record whose key parsed but
+/// whose body is torn is kept as damaged — the first lookup rejects and
+/// counts it — and loading stops there, as it does at any other damage.
+/// Files of another format version, including `v1`, are ignored wholesale.
+///
 /// See the module documentation for the validation performed on hits.
 #[derive(Clone, Default)]
 pub struct ProofCache {
@@ -550,6 +594,7 @@ impl fmt::Debug for ProofCache {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("ProofCache")
             .field("entries", &inner.entries.len())
+            .field("witnesses", &inner.witnesses.len())
             .field("stats", &inner.stats)
             .finish()
     }
@@ -577,7 +622,7 @@ impl ProofCache {
         {
             let mut inner = cache.inner.lock().unwrap_or_else(PoisonError::into_inner);
             if let Ok(text) = std::fs::read_to_string(&path) {
-                inner.entries = parse_cache_file(&text);
+                (inner.entries, inner.witnesses) = parse_cache_file(&text);
                 inner.stats.loaded = inner.entries.len() as u64;
             }
             inner.path = Some(path);
@@ -634,6 +679,13 @@ impl ProofCache {
             }
             render_cache_entry(&mut text, key, &entry.outcome);
         }
+        let mut witnesses: Vec<(&Fingerprint, &WitnessEntry)> = inner.witnesses.iter().collect();
+        witnesses.sort_by_key(|(raw, _)| (raw.0, raw.1));
+        for (raw, entry) in witnesses {
+            if let Some(witness) = &entry.witness {
+                render_witness(&mut text, *raw, entry.optimized, witness);
+            }
+        }
         let tmp = path.with_extension("tmp");
         {
             let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
@@ -667,11 +719,73 @@ impl ProofCache {
             .stats
     }
 
-    /// Drops every entry (counters are kept).
+    /// Drops every entry and optimizer witness (counters are kept).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.entries.clear();
+        inner.witnesses.clear();
         inner.dirty = true;
+    }
+
+    /// Stores the witness of optimizing a model with fingerprint `raw` into
+    /// one with fingerprint `optimized` (last write wins).  Witnesses are
+    /// not verdicts: [`CacheStats`] does not count them.
+    pub(crate) fn store_witness(
+        &self,
+        raw: Fingerprint,
+        witness: OptWitness,
+        optimized: Fingerprint,
+    ) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.witnesses.insert(
+            raw,
+            WitnessEntry {
+                witness: Some(Arc::new(witness)),
+                optimized,
+            },
+        );
+        inner.dirty = true;
+    }
+
+    /// The optimized model of `model` (fingerprint `raw`) and its
+    /// fingerprint, rebuilt from the cached witness, or `None` when there
+    /// is no witness or it fails.
+    ///
+    /// Every replay is checked in full ([`crate::opt::replay`]), whoever
+    /// stored the witness, and the rebuilt model must have the recorded
+    /// fingerprint.  A failing witness is evicted and counted in
+    /// `opt.replay_rejected`; the caller then optimizes from scratch.
+    pub(crate) fn replay_optimized(
+        &self,
+        raw: Fingerprint,
+        model: &Model,
+    ) -> Option<(Model, Fingerprint)> {
+        let entry = self
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .witnesses
+            .get(&raw)
+            .cloned()?;
+        // The replay runs outside the lock, like verdict validation.
+        let replayed = entry
+            .witness
+            .as_deref()
+            .and_then(|witness| crate::opt::replay(model, witness))
+            .map(|optimized| {
+                let fp = crate::coi::fingerprint(&optimized);
+                (optimized, fp)
+            })
+            .filter(|(_, fp)| *fp == entry.optimized);
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if replayed.is_some() {
+            crate::telemetry::count("opt.replayed", 1);
+        } else {
+            crate::telemetry::count("opt.replay_rejected", 1);
+            inner.witnesses.remove(&raw);
+            inner.dirty = true;
+        }
+        replayed
     }
 
     /// Stores a verdict (last write wins).
@@ -797,7 +911,7 @@ impl ProofCache {
 const CACHE_FILE: &str = "proofs.cache";
 /// Version header; bump on any format change (older files are ignored,
 /// which is safe: the cache is advisory).
-const CACHE_HEADER: &str = "autosva-proof-cache v1";
+const CACHE_HEADER: &str = "autosva-proof-cache v2";
 /// Sanity bounds on parsed entries.  Legitimate artifacts sit far below
 /// these (induction depths ≤ the configured `max_induction`, traces ≤ the
 /// BMC bound, invariants ≤ a few hundred clauses); anything larger is a
@@ -904,6 +1018,33 @@ fn render_cache_entry(out: &mut String, key: &CacheKey, outcome: &CachedOutcome)
     }
 }
 
+/// Serializes one optimizer witness: a `witness` line with the raw key,
+/// the optimizer version, the optimized fingerprint and the pass count,
+/// then one `pass` line of `node literal` pairs per pass.
+fn render_witness(
+    out: &mut String,
+    raw: Fingerprint,
+    optimized: Fingerprint,
+    witness: &OptWitness,
+) {
+    let _ = writeln!(
+        out,
+        "witness {:016x} {:016x} {OPT_VERSION} {:016x} {:016x} {}",
+        raw.0,
+        raw.1,
+        optimized.0,
+        optimized.1,
+        witness.passes.len()
+    );
+    for facts in &witness.passes {
+        out.push_str("pass");
+        for &(node, rep) in facts {
+            let _ = write!(out, " {node} {}", rep.raw());
+        }
+        out.push('\n');
+    }
+}
+
 /// Line-cursor over the spill file; every parse helper returns `Option` so
 /// any corruption aborts the current entry without panicking.
 struct CacheLines<'a> {
@@ -958,14 +1099,19 @@ fn parse_trace(header: &str, lines: &mut CacheLines<'_>) -> Option<Trace> {
         if bits.len() != cycles || fields.next().is_some() {
             return None;
         }
-        for (cycle, bit) in bits.chars().enumerate() {
-            let value = match bit {
-                '0' => false,
-                '1' => true,
-                _ => return None,
-            };
-            trace.record(cycle, &name, value, is_input);
-        }
+        let values = bits
+            .bytes()
+            .map(|bit| match bit {
+                b'0' => Some(false),
+                b'1' => Some(true),
+                _ => None,
+            })
+            .collect::<Option<Vec<bool>>>()?;
+        trace.record_signal(SignalTrace {
+            name,
+            is_input,
+            values,
+        });
     }
     Some(trace)
 }
@@ -1011,36 +1157,45 @@ fn parse_outcome(lines: &mut CacheLines<'_>) -> Option<CachedOutcome> {
     }
 }
 
-/// Parses a spill file, keeping every entry up to the first corruption.
-/// Loaded entries are marked `unvalidated`: the file is a trust boundary,
-/// so the first hit on each re-validates its artifact against the live
-/// model before the verdict is reused.
-fn parse_cache_file(text: &str) -> HashMap<CacheKey, CacheEntry> {
+/// Parses a spill file, keeping every verdict entry and optimizer witness
+/// up to the first corruption.  Loaded verdict entries are marked
+/// `unvalidated`: the file is a trust boundary, so the first hit on each
+/// re-validates its artifact against the live model before it is reused
+/// (witnesses are checked on every replay).  A witness from
+/// another optimizer version is skipped; one whose key parsed but whose
+/// body did not is kept as damaged (rejected on first use), and loading
+/// stops there.
+fn parse_cache_file(
+    text: &str,
+) -> (
+    HashMap<CacheKey, CacheEntry>,
+    HashMap<Fingerprint, WitnessEntry>,
+) {
     let mut entries = HashMap::new();
+    let mut witnesses = HashMap::new();
     let mut lines = CacheLines {
         lines: text.lines(),
     };
     if lines.next() != Some(CACHE_HEADER) {
-        return entries;
+        return (entries, witnesses);
     }
     while let Some(line) = lines.next() {
         let mut fields = line.split(' ');
-        let parsed = (|| {
-            if fields.next()? != "entry" {
-                return None;
-            }
-            let hi = u64::from_str_radix(fields.next()?, 16).ok()?;
-            let lo = u64::from_str_radix(fields.next()?, 16).ok()?;
-            let property = unescape_name(fields.next()?)?;
-            let key = CacheKey {
-                fingerprint: Fingerprint(hi, lo),
-                property,
-            };
-            let outcome = parse_outcome(&mut lines)?;
-            Some((key, outcome))
-        })();
-        match parsed {
-            Some((key, outcome)) => {
+        match fields.next() {
+            Some("entry") => {
+                let parsed = (|| {
+                    let hi = u64::from_str_radix(fields.next()?, 16).ok()?;
+                    let lo = u64::from_str_radix(fields.next()?, 16).ok()?;
+                    let property = unescape_name(fields.next()?)?;
+                    let key = CacheKey {
+                        fingerprint: Fingerprint(hi, lo),
+                        property,
+                    };
+                    let outcome = parse_outcome(&mut lines)?;
+                    Some((key, outcome))
+                })();
+                // Corrupted entry: stop here, keep the clean prefix.
+                let Some((key, outcome)) = parsed else { break };
                 entries.insert(
                     key,
                     CacheEntry {
@@ -1049,11 +1204,70 @@ fn parse_cache_file(text: &str) -> HashMap<CacheKey, CacheEntry> {
                     },
                 );
             }
-            // Corrupted entry: stop here, keep the clean prefix.
-            None => break,
+            Some("witness") => {
+                let Some((raw, version, optimized, passes)) = parse_witness_header(fields) else {
+                    break;
+                };
+                let witness = parse_witness_passes(&mut lines, passes);
+                let damaged = witness.is_none();
+                if version == OPT_VERSION {
+                    witnesses.insert(
+                        raw,
+                        WitnessEntry {
+                            witness: witness.map(Arc::new),
+                            optimized,
+                        },
+                    );
+                }
+                if damaged {
+                    break;
+                }
+            }
+            _ => break,
         }
     }
-    entries
+    (entries, witnesses)
+}
+
+/// The fields after `witness`: raw key, optimizer version, optimized
+/// fingerprint and pass count.
+fn parse_witness_header<'a>(
+    mut fields: impl Iterator<Item = &'a str>,
+) -> Option<(Fingerprint, u32, Fingerprint, usize)> {
+    let mut hex = || u64::from_str_radix(fields.next()?, 16).ok();
+    let raw = Fingerprint(hex()?, hex()?);
+    let version: u32 = fields.next()?.parse().ok()?;
+    let mut hex = || u64::from_str_radix(fields.next()?, 16).ok();
+    let optimized = Fingerprint(hex()?, hex()?);
+    let passes: usize = fields.next()?.parse().ok()?;
+    fields
+        .next()
+        .is_none()
+        .then_some((raw, version, optimized, passes))
+}
+
+/// The `passes` pass lines of a witness record, or `None` when any is
+/// missing or malformed.  Sizes are bounded here and node indices by the
+/// replay's structural check, so a forged record rejects cheaply.
+fn parse_witness_passes(lines: &mut CacheLines<'_>, passes: usize) -> Option<OptWitness> {
+    if passes > crate::opt::MAX_PASSES {
+        return None;
+    }
+    let mut witness = OptWitness::default();
+    for _ in 0..passes {
+        let mut fields = lines.next()?.split(' ');
+        if fields.next()? != "pass" {
+            return None;
+        }
+        let mut facts = Vec::new();
+        while let Some(node) = fields.next() {
+            let node: usize = node.parse().ok()?;
+            let rep: u32 = fields.next()?.parse().ok()?;
+            facts.push((node, Lit::new((rep >> 1) as usize, rep & 1 == 1)));
+        }
+        witness.passes.push(facts);
+    }
+    Some(witness)
 }
 
 /// `true` when every clause literal references a latch node of `model` —
@@ -1502,9 +1716,11 @@ mod tests {
         std::fs::write(&path, b"!!! not a cache file !!!\x00\xff binary junk").unwrap();
         assert!(ProofCache::open(&dir).is_empty());
 
-        // Wrong version: ignored wholesale.
-        std::fs::write(&path, text.replace("v1", "v999")).unwrap();
-        assert!(ProofCache::open(&dir).is_empty());
+        // Wrong version, older or newer: ignored wholesale.
+        for stale in ["autosva-proof-cache v1", "autosva-proof-cache v999"] {
+            std::fs::write(&path, text.replace(CACHE_HEADER, stale)).unwrap();
+            assert!(ProofCache::open(&dir).is_empty());
+        }
 
         // Interior corruption: entries before the bad line survive.
         let mut lines: Vec<&str> = text.lines().collect();
@@ -1655,6 +1871,112 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup(&key(), &model, q).is_none());
         assert_eq!(cache.stats().rejected, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two latches that both follow the input: the optimizer merges them,
+    /// so the witness is not empty.
+    fn mergeable_model() -> Model {
+        let mut aig = Aig::new();
+        let x = aig.add_input("x");
+        let a = aig.add_latch("a", false);
+        let b = aig.add_latch("b", false);
+        aig.set_latch_next(a, x);
+        aig.set_latch_next(b, x);
+        let both = aig.and(a, b);
+        let mut model = Model::new(aig);
+        model.bads.push(BadProperty {
+            name: "both".into(),
+            lit: both,
+        });
+        model
+    }
+
+    #[test]
+    fn witnesses_cross_the_spill_file_and_are_checked_there() {
+        let dir = scratch_dir("witness");
+        let model = mergeable_model();
+        let raw = crate::coi::fingerprint(&model);
+        let result = crate::opt::optimize(&model);
+        assert!(!result.witness.passes.is_empty());
+        {
+            let cache = ProofCache::open(&dir);
+            cache.store_witness(raw, result.witness.clone(), result.fingerprint);
+            // Stored by this process: still checked.
+            let (_, fp) = cache
+                .replay_optimized(raw, &model)
+                .expect("in-process replay");
+            assert_eq!(fp, result.fingerprint);
+            cache.flush().expect("flush");
+        }
+        let text = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
+        assert!(
+            text.starts_with("autosva-proof-cache v2\nwitness "),
+            "{text}"
+        );
+        let cache = ProofCache::open(&dir);
+        // Witnesses are not verdicts.
+        assert_eq!((cache.len(), cache.stats().loaded), (0, 0));
+        for _ in 0..2 {
+            let (replayed, fp) = cache.replay_optimized(raw, &model).expect("checked replay");
+            assert_eq!(fp, result.fingerprint);
+            assert_eq!(crate::coi::fingerprint(&replayed), fp);
+        }
+        // Another model under the same key rebuilds something else (or
+        // fails its checks) and is rejected, and the witness is evicted.
+        let (other, _) = tiny_model();
+        assert!(cache.replay_optimized(raw, &other).is_none());
+        assert!(cache.replay_optimized(raw, &model).is_none());
+        // A witness this process stored is checked like a loaded one:
+        // latch `a` resets to 0, so "a is stuck at 1" fails the reset check.
+        let forged = OptWitness {
+            passes: vec![vec![(2, Lit::TRUE)]],
+        };
+        cache.store_witness(raw, forged, result.fingerprint);
+        assert!(cache.replay_optimized(raw, &model).is_none());
+        assert_eq!(cache.stats(), CacheStats::default());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_and_damaged_witness_records_never_replay() {
+        let dir = scratch_dir("witness-damaged");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join(CACHE_FILE);
+        let model = mergeable_model();
+        let raw = crate::coi::fingerprint(&model);
+        let result = crate::opt::optimize(&model);
+        let cache = ProofCache::new();
+        cache.store_witness(raw, result.witness, result.fingerprint);
+        let mut record = String::new();
+        render_witness(
+            &mut record,
+            raw,
+            result.fingerprint,
+            cache.inner.lock().unwrap().witnesses[&raw]
+                .witness
+                .as_ref()
+                .unwrap(),
+        );
+        let verdict = "entry 0000000000000001 0000000000000002 q_high\ninduction 1\n";
+        // Another optimizer version: skipped, and loading goes on.
+        let stale = record.replacen(&format!(" {OPT_VERSION} "), " 999 ", 1);
+        std::fs::write(&path, format!("{CACHE_HEADER}\n{stale}{verdict}")).unwrap();
+        let cache = ProofCache::open(&dir);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.replay_optimized(raw, &model).is_none());
+        // A torn body (odd pair count, missing pass line): the key
+        // survives, loading stops, the first lookup rejects it.
+        let torn_pair = format!("{} 7\n", record.trim_end());
+        let missing_pass = record.replacen(" 1\npass", " 2\npass", 1);
+        for damaged in [torn_pair, missing_pass] {
+            std::fs::write(&path, format!("{CACHE_HEADER}\n{damaged}{verdict}")).unwrap();
+            let cache = ProofCache::open(&dir);
+            assert_eq!(cache.len(), 0, "loading stops at the damaged record");
+            assert_eq!(cache.inner.lock().unwrap().witnesses.len(), 1);
+            assert!(cache.replay_optimized(raw, &model).is_none());
+            assert!(cache.inner.lock().unwrap().witnesses.is_empty());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,11 +12,11 @@
 //! * every other property's rendered verdict is byte-identical to the
 //!   fault-free run, at worker counts 1 and 4.
 //!
-//! The fault registry is process-global, so every arming test runs under
-//! [`fault_lock`] and targets properties of a design whose transaction
-//! name (`rbt`, or `rbo` for the optimizer test) appears nowhere else in
-//! the test suite — a concurrently running checker test can share a fault
-//! site without ever matching an arm's property filter.
+//! The fault registry is process-global, but every arm is scoped to the
+//! thread that set it and to the runs that thread starts (see
+//! [`crate::faults`]).  So these tests run in parallel with each other and
+//! with every other checker test, on the same design and property names,
+//! without tripping each other's faults.
 
 use crate::bmc::BmcOptions;
 use crate::checker::{
@@ -29,13 +29,10 @@ use crate::faults::{self, FaultAction};
 use autosva::sva::Directive;
 use autosva::{generate_ft, AutosvaOptions, PropertyClass};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-/// A well-behaved single-outstanding echo DUT reserved for the fault
-/// tests.  The transaction name is unique across the test suite so armed
-/// property filters never match a property of another, concurrently
-/// running test.
+/// A well-behaved single-outstanding echo DUT for the fault tests.
 const FAULT_ECHO: &str = r#"
 /*AUTOSVA
 rbt_txn: req -in> res
@@ -74,13 +71,6 @@ module rbt_echo (
   assign res_id = id_q;
 endmodule
 "#;
-
-/// Serializes the tests that arm the process-global fault registry.
-fn fault_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A panicking assertion in one test must not wedge the others.
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn run_with(options: &CheckOptions) -> VerificationReport {
     let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
@@ -175,7 +165,6 @@ fn engine_scenarios() -> Vec<(&'static str, &'static str, CheckOptions)> {
 
 #[test]
 fn injected_panic_in_each_engine_degrades_only_the_target_property() {
-    let _serial = fault_lock();
     for (site, engine, base_options) in engine_scenarios() {
         for threads in [1usize, 4] {
             let mut options = base_options.clone();
@@ -221,7 +210,6 @@ fn injected_panic_in_each_engine_degrades_only_the_target_property() {
 
 #[test]
 fn injected_spurious_timeout_degrades_only_the_target_property() {
-    let _serial = fault_lock();
     for threads in [1usize, 4] {
         let options = options_with_threads(threads);
         let baseline = run_with(&options);
@@ -277,7 +265,6 @@ proptest! {
             .unwrap_or_else(PoisonError::into_inner)
             .insert((scenario_idx, action_idx, threads));
         if fresh {
-            let _serial = fault_lock();
             let (site, engine, base_options) = engine_scenarios().swap_remove(scenario_idx);
             let mut options = base_options;
             options.parallel.threads = threads;
@@ -448,12 +435,6 @@ fn frontend_deadline_fails_fast_and_a_generous_one_is_invisible() {
     );
 }
 
-/// The fault-test echo DUT under its own transaction name (`rbo`), so the
-/// optimizer-fault arms below match only this test's own runs.
-fn opt_fault_echo() -> String {
-    FAULT_ECHO.replace("rbt", "rbo")
-}
-
 /// The checked properties of `source` in annotation order, grouped by raw
 /// cone-of-influence fingerprint (first property first).
 fn slice_groups(source: &str) -> Vec<Vec<String>> {
@@ -483,6 +464,60 @@ fn slice_groups(source: &str) -> Vec<Vec<String>> {
     groups.into_iter().map(|(_, names)| names).collect()
 }
 
+/// Asserts the slice-preparation degradation contract for a panic at
+/// `site` while `degraded`'s slice was prepared: exactly those properties
+/// report `ERROR in opt` with the preparation note, every other verdict
+/// renders byte-identically, and exactly one panic was caught.
+fn assert_only_slice_degraded(
+    baseline: &VerificationReport,
+    faulty: &VerificationReport,
+    degraded: &[String],
+    site: &str,
+) {
+    assert_eq!(baseline.results.len(), faulty.results.len());
+    for (b, f) in baseline.results.iter().zip(&faulty.results) {
+        assert_eq!(b.name, f.name, "fault changed the property order");
+        if degraded.contains(&f.name) {
+            assert_eq!(
+                f.status,
+                PropertyStatus::Error {
+                    engine: "opt",
+                    message: format!("fault injected at {site}"),
+                },
+                "`{}` (arm on `{}`)",
+                f.name,
+                degraded[0]
+            );
+            assert_eq!(f.note.as_deref(), Some(PREP_PANIC_NOTE));
+        } else {
+            assert_eq!(
+                rendered_verdict(b),
+                rendered_verdict(f),
+                "{site} fault on `{}`'s slice leaked into `{}`",
+                degraded[0],
+                b.name
+            );
+        }
+    }
+    assert!(
+        faulty
+            .render()
+            .contains(&format!("ERROR in opt: fault injected at {site}")),
+        "report does not surface the contained optimizer panic"
+    );
+    assert_eq!(
+        counter(faulty, "robustness.panics_caught"),
+        1,
+        "exactly one contained panic"
+    );
+}
+
+/// The value of telemetry counter `name` in `report` (0 when absent).
+fn counter(report: &VerificationReport, name: &str) -> u64 {
+    let telemetry = report.telemetry.as_ref().expect("telemetry enabled");
+    telemetry.counter(name).unwrap_or(0)
+}
+
 /// The fault-smoke contract for slice preparation: a panic inside the
 /// optimizer (the `opt.pass` site) degrades exactly the properties whose
 /// slice was being prepared to `ERROR in opt`, and every other verdict
@@ -491,58 +526,53 @@ fn slice_groups(source: &str) -> Vec<Vec<String>> {
 /// under its first property's name, which is what the arm filters on.
 #[test]
 fn optimizer_panic_degrades_only_the_properties_on_its_slice() {
-    let _serial = fault_lock();
-    let source = opt_fault_echo();
-    let ft = generate_ft(&source, &AutosvaOptions::default()).unwrap();
-    let groups = slice_groups(&source);
+    let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
+    let groups = slice_groups(FAULT_ECHO);
     assert!(!groups.is_empty(), "the echo design has checked properties");
     for threads in [1usize, 4] {
         let mut options = options_with_threads(threads);
         options.telemetry.enabled = true;
-        let baseline = verify(&source, &ft, &options).unwrap();
+        let baseline = verify(FAULT_ECHO, &ft, &options).unwrap();
         for degraded in &groups {
-            let target = &degraded[0];
             let faulty = {
-                let _arm = faults::arm("opt.pass", FaultAction::Panic, Some(target));
-                verify(&source, &ft, &options).unwrap()
+                let _arm = faults::arm("opt.pass", FaultAction::Panic, Some(&degraded[0]));
+                verify(FAULT_ECHO, &ft, &options).unwrap()
             };
-            assert_eq!(baseline.results.len(), faulty.results.len());
-            for (b, f) in baseline.results.iter().zip(&faulty.results) {
-                assert_eq!(b.name, f.name, "fault changed the property order");
-                if degraded.contains(&f.name) {
-                    assert_eq!(
-                        f.status,
-                        PropertyStatus::Error {
-                            engine: "opt",
-                            message: "fault injected at opt.pass".to_string(),
-                        },
-                        "`{}` (arm on `{target}`, threads {threads})",
-                        f.name
-                    );
-                    assert_eq!(f.note.as_deref(), Some(PREP_PANIC_NOTE));
-                } else {
-                    assert_eq!(
-                        rendered_verdict(b),
-                        rendered_verdict(f),
-                        "optimizer fault on `{target}`'s slice leaked into `{}` (threads {threads})",
-                        b.name
-                    );
-                }
-            }
+            assert_only_slice_degraded(&baseline, &faulty, degraded, "opt.pass");
+        }
+    }
+}
+
+/// The same contract when the slice is not optimized but replayed from the
+/// proof cache's optimizer witness: a panic at `opt.replay` degrades only
+/// the properties on that slice, and every other slice still replays.
+#[test]
+fn witness_replay_panic_degrades_only_the_properties_on_its_slice() {
+    let ft = generate_ft(FAULT_ECHO, &AutosvaOptions::default()).unwrap();
+    let groups = slice_groups(FAULT_ECHO);
+    assert!(groups.len() > 1, "the echo design has several slices");
+    for threads in [1usize, 4] {
+        let mut options = options_with_threads(threads);
+        options.telemetry.enabled = true;
+        options.parallel.cache = Some(crate::portfolio::ProofCache::new());
+        // The cold run optimizes every slice and stores the witnesses.
+        let baseline = verify(FAULT_ECHO, &ft, &options).unwrap();
+        assert_eq!(counter(&baseline, "opt.replayed"), 0);
+        for degraded in &groups {
+            let faulty = {
+                let _arm = faults::arm("opt.replay", FaultAction::Panic, Some(&degraded[0]));
+                verify(FAULT_ECHO, &ft, &options).unwrap()
+            };
+            assert_only_slice_degraded(&baseline, &faulty, degraded, "opt.replay");
             assert!(
-                faulty
-                    .render()
-                    .contains("ERROR in opt: fault injected at opt.pass"),
-                "report does not surface the contained optimizer panic"
+                counter(&faulty, "opt.replayed") > 0,
+                "the other slices replay"
             );
-            let telemetry = faulty.telemetry.as_ref().expect("telemetry enabled");
-            let caught: u64 = telemetry
-                .counters
-                .iter()
-                .filter(|(name, _)| *name == "robustness.panics_caught")
-                .map(|(_, v)| v)
-                .sum();
-            assert_eq!(caught, 1, "exactly one contained optimizer panic");
+            assert_eq!(
+                counter(&faulty, "opt.passes"),
+                0,
+                "no slice was re-optimized"
+            );
         }
     }
 }

@@ -64,6 +64,17 @@ impl Trace {
         entry.values[cycle] = value;
     }
 
+    /// Records every cycle of one signal at once, replacing any earlier
+    /// recording under the same name.
+    ///
+    /// # Panics
+    ///
+    /// If `signal.values` does not hold exactly one value per cycle.
+    pub fn record_signal(&mut self, signal: SignalTrace) {
+        assert_eq!(signal.values.len(), self.cycles, "one value per cycle");
+        self.signals.insert(signal.name.clone(), signal);
+    }
+
     /// The value of `signal` at `cycle`, if the signal was recorded.
     pub fn value(&self, cycle: usize, signal: &str) -> Option<bool> {
         self.signals
