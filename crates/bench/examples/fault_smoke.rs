@@ -19,6 +19,12 @@
 //! * every *other* property's rendered verdict is byte-identical to the
 //!   fault-free run.
 //!
+//! Then, on the first buggy-variant design with a fuzzer-found violation,
+//! it arms a panic at the counterexample minimizer's depth loop
+//! (`minimize.depth_step`, filtered to that property) and asserts that
+//! exactly that row degrades to `ERROR in minimize: fault injected at
+//! minimize.depth_step` while every other verdict renders unchanged.
+//!
 //! ```sh
 //! cargo run --release -p autosva-bench --features fault-injection --example fault_smoke
 //! ```
@@ -28,7 +34,7 @@ use autosva::PropertyClass;
 use autosva_bench::{build_testbench, default_check_options};
 use autosva_designs::{all_cases, elaborated, Variant};
 use autosva_formal::checker::{
-    verify_elaborated, PropertyResult, PropertyStatus, VerificationReport,
+    verify_elaborated, PropertyResult, PropertyStatus, VerificationReport, FUZZ_ENGINE,
 };
 use autosva_formal::faults::{self, FaultAction};
 use std::time::Instant;
@@ -67,6 +73,71 @@ fn row<'a>(report: &'a VerificationReport, name: &str) -> &'a PropertyResult {
         .iter()
         .find(|r| r.name == name)
         .unwrap_or_else(|| panic!("property `{name}` missing from the report"))
+}
+
+/// Asserts that `faulty` equals `baseline` row for row, except for the
+/// `degraded` properties.
+fn assert_others_unchanged(
+    case: &str,
+    baseline: &VerificationReport,
+    faulty: &VerificationReport,
+    degraded: &[&String],
+) {
+    assert_eq!(baseline.results.len(), faulty.results.len());
+    for (b, f) in baseline.results.iter().zip(&faulty.results) {
+        assert_eq!(b.name, f.name, "{case}: property order changed");
+        if degraded.contains(&&b.name) {
+            continue;
+        }
+        assert_eq!(
+            rendered_verdict(b),
+            rendered_verdict(f),
+            "{case}: fault leaked into non-target property `{}`",
+            b.name
+        );
+    }
+}
+
+/// A panic inside counterexample minimization, on the first buggy design
+/// whose violation the fuzzer found (every such hit is minimized).
+/// Returns the design and property it degraded.
+fn minimizer_panic_is_contained() -> (String, String) {
+    for case in all_cases().into_iter().filter(|c| c.has_bug_parameter) {
+        let ft = build_testbench(&case);
+        let options = default_check_options(&case, Variant::Buggy);
+        let design = elaborated(&case, Variant::Buggy);
+        let baseline = verify_elaborated(&design, &ft, &options)
+            .unwrap_or_else(|e| panic!("{}: fault-free verification failed: {e}", case.id));
+        let Some(target) = baseline
+            .results
+            .iter()
+            .find(|r| r.status.is_violation() && r.engine == Some(FUZZ_ENGINE))
+            .map(|r| r.name.clone())
+        else {
+            continue;
+        };
+        let faulty = {
+            let _arm = faults::arm(
+                "minimize.depth_step",
+                FaultAction::Panic,
+                Some(target.as_str()),
+            );
+            verify_elaborated(&design, &ft, &options)
+                .unwrap_or_else(|e| panic!("{}: armed verification failed: {e}", case.id))
+        };
+        assert_eq!(
+            row(&faulty, &target).status,
+            PropertyStatus::Error {
+                engine: "minimize",
+                message: "fault injected at minimize.depth_step".to_string(),
+            },
+            "{}: minimizer target `{target}` has the wrong verdict",
+            case.id
+        );
+        assert_others_unchanged(case.id, &baseline, &faulty, &[&target]);
+        return (case.id.to_string(), target);
+    }
+    panic!("no buggy corpus design has a fuzzer-found violation");
 }
 
 fn main() {
@@ -167,20 +238,12 @@ fn main() {
         );
 
         // Everything else is byte-identical to the fault-free run.
-        assert_eq!(baseline.results.len(), faulty.results.len());
-        for (b, f) in baseline.results.iter().zip(&faulty.results) {
-            assert_eq!(b.name, f.name, "{}: property order changed", case.id);
-            if [panic_target, timeout_target, &opt_target].contains(&&b.name) {
-                continue;
-            }
-            assert_eq!(
-                rendered_verdict(b),
-                rendered_verdict(f),
-                "{}: fault leaked into non-target property `{}`",
-                case.id,
-                b.name
-            );
-        }
+        assert_others_unchanged(
+            case.id,
+            &baseline,
+            &faulty,
+            &[panic_target, timeout_target, &opt_target],
+        );
         cases_checked += 1;
         println!(
             "{:3}: panic contained in `{panic_target}`, optimizer panic in `{opt_target}`, \
@@ -193,6 +256,8 @@ fn main() {
         cases_checked > 0,
         "no corpus case had two safety assertions"
     );
+    let (case, target) = minimizer_panic_is_contained();
+    println!("{case:3}: minimizer panic contained in `{target}`, other verdicts unchanged");
     println!(
         "fault smoke: {cases_checked} case(s) degraded gracefully in {:.1?}",
         start.elapsed()

@@ -9,7 +9,7 @@
 use crate::aig::Lit;
 use crate::interrupt::{Interrupt, InterruptReason};
 use crate::model::Model;
-use crate::pdr::FrameLemma;
+use crate::pdr::{FrameLemma, PdrOptions, PdrResult};
 use crate::sat::{ClausePool, SatLit, SolverConfig, SolverStats};
 use crate::trace::Trace;
 use crate::unroll::{SeedHint, Unroller};
@@ -232,6 +232,128 @@ fn check_safety_impl(
         },
         stats,
     )
+}
+
+/// Where [`minimize_counterexample`] takes its PDR frame lemmas from.
+#[derive(Debug, Clone, Copy)]
+pub enum MinimizeLemmas<'a> {
+    /// The lemmas of the PDR run that found the witness (see
+    /// [`crate::pdr::check_pdr_budgeted_lemmas`]).
+    Found(&'a [FrameLemma]),
+    /// Harvest them first: run PDR with these bounds, its frame cap
+    /// lowered to the witness depth.  PDR stops at a frontier no deeper
+    /// than the shortest counterexample, and the cap only matters once the
+    /// frontier passes it, so the capped run is the run PDR makes without
+    /// the cap: its lemmas are the ones a PDR-found trace brings along.
+    Harvest(&'a PdrOptions),
+    /// Walk without lemmas (PDR is disabled).
+    None,
+}
+
+/// Canonicalizes a safety counterexample to the *minimal* depth.
+///
+/// PDR and the explicit engine return correct but not necessarily
+/// shortest traces, the fuzzer's hits land wherever the stimulus happened
+/// to strike, and a portfolio race's trace depends on which solver won.
+/// This walk makes the reported trace length a function of the model
+/// alone: one incremental BMC unrolling goes up from depth 0 to the
+/// witness depth and returns the first satisfiable depth's trace.  Two
+/// kinds of implied clauses keep the walk cheap without changing where it
+/// stops:
+///
+/// * after each refuted depth `d`, `¬bad@d` is asserted as a unit (no
+///   execution reaches `bad` at `d`, so none passes through it on the way
+///   deeper);
+/// * each PDR frame lemma is asserted at the frames `0..=through` it
+///   covers (see [`RaceOptions::lemmas`]); PDR has already proven most of
+///   the low depths bad-free, and the lemmas hand those facts over instead
+///   of letting every depth's query rediscover them.
+///
+/// No induction solver is built: the property is known to fail.  The
+/// walk never claims more than the witness does; an interrupt anywhere
+/// (during the lemma harvest or the walk) returns `witness` unchanged, and
+/// so would a walk that reached the witness depth without a satisfiable
+/// query (a witness that does not replay).  The solver work, harvest
+/// included, is counted as `solver.minimize.*`, and no `bmc.solve` or
+/// `pdr.solve` span is opened: the caller's span is the only one.
+///
+/// # Panics
+///
+/// Panics if `bad_index` is out of range.
+pub fn minimize_counterexample(
+    model: &Model,
+    bad_index: usize,
+    witness: Trace,
+    lemmas: MinimizeLemmas<'_>,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (Trace, SolverStats) {
+    let (minimal, stats) = minimal_trace(model, bad_index, &witness, lemmas, solver, interrupt);
+    crate::telemetry::count_solver("minimize", &stats);
+    (minimal.unwrap_or(witness), stats)
+}
+
+/// The walk behind [`minimize_counterexample`]; `None` keeps the witness.
+fn minimal_trace(
+    model: &Model,
+    bad_index: usize,
+    witness: &Trace,
+    lemmas: MinimizeLemmas<'_>,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (Option<Trace>, SolverStats) {
+    let Some(witness_depth) = witness.len().checked_sub(1) else {
+        return (None, SolverStats::default());
+    };
+    let bad = model.bads[bad_index].lit;
+    let mut stats = SolverStats::default();
+    let harvested;
+    let lemmas: &[FrameLemma] = match lemmas {
+        MinimizeLemmas::Found(lemmas) => lemmas,
+        MinimizeLemmas::Harvest(pdr) => {
+            let capped = PdrOptions {
+                max_frames: witness_depth,
+                ..*pdr
+            };
+            let (result, s, lemmas) = crate::pdr::run_pdr(model, bad, &capped, solver, interrupt);
+            stats += s;
+            if matches!(result, PdrResult::Interrupted) {
+                return (None, stats);
+            }
+            harvested = lemmas;
+            &harvested
+        }
+        MinimizeLemmas::None => &[],
+    };
+    let mut bmc = Unroller::with_config(&model.aig, true, solver);
+    bmc.set_interrupt(interrupt.clone());
+    // Every lemma goes in up front, at each frame it covers, so the walk's
+    // first queries already see PDR's reachability facts on all of them.
+    if let Some(deepest) = lemmas.iter().map(|l| l.through).max() {
+        for frame in 0..=deepest.min(witness_depth) {
+            apply_lemmas(&mut bmc, lemmas, frame);
+        }
+    }
+    for depth in 0..=witness_depth {
+        #[cfg(any(test, feature = "fault-injection"))]
+        crate::faults::point("minimize.depth_step");
+        if interrupt.poll().is_some() {
+            break;
+        }
+        apply_constraints(&mut bmc, &model.constraints, depth);
+        if bmc.solve_with(&[(bad, depth, true)]) {
+            // A satisfiable answer is a genuine execution even if the
+            // interrupt fired concurrently.
+            let trace = extract_trace(model, &mut bmc, depth);
+            return (Some(trace), stats + bmc.stats());
+        }
+        if interrupt.triggered().is_some() {
+            // The "refuted" answer may be an interrupted solve.
+            break;
+        }
+        bmc.constrain(bad, depth, false);
+    }
+    (None, stats + bmc.stats())
 }
 
 /// Induction is attempted at every small depth and then every third depth.
@@ -1215,5 +1337,142 @@ mod tests {
         assert_eq!(trace.value(3, "c2"), Some(false));
         // Frame 0 is the reset state.
         assert_eq!(trace.value(0, "c0"), Some(false));
+    }
+
+    /// A 3-bit saturating counter that only counts while input `en` is
+    /// high, so a given value is reachable along many paths of different
+    /// lengths.  Returns the model and `(at_least_five, is_seven)`.
+    fn enabled_counter() -> (Model, Lit, Lit) {
+        let mut aig = Aig::new();
+        let en = aig.add_input("en");
+        let bits: Vec<Lit> = (0..3)
+            .map(|i| aig.add_latch(format!("c{i}"), false))
+            .collect();
+        let all_ones = aig.and_many(&bits);
+        let step = aig.and(en, all_ones.invert());
+        let carry1 = aig.and(bits[0], bits[1]);
+        let nexts = [
+            aig.xor(bits[0], step),
+            {
+                let t = aig.and(step, bits[0]);
+                aig.xor(bits[1], t)
+            },
+            {
+                let t = aig.and(step, carry1);
+                aig.xor(bits[2], t)
+            },
+        ];
+        for (bit, next) in bits.iter().zip(nexts) {
+            aig.set_latch_next(*bit, next);
+        }
+        let low = aig.or(bits[0], bits[1]);
+        let at_least_five = aig.and(bits[2], low);
+        let is_seven = all_ones;
+        (Model::new(aig), at_least_five, is_seven)
+    }
+
+    #[test]
+    fn minimizer_finds_the_minimal_depth_from_every_lemma_source() {
+        let (mut model, at_least_five, is_seven) = enabled_counter();
+        // A genuine but long witness for "value >= 5": the shortest path
+        // to 7 passes through 5 two cycles earlier.
+        model.bads.push(BadProperty {
+            name: "is_seven".into(),
+            lit: is_seven,
+        });
+        let witness = check_safety(&model, 0, &BmcOptions::default())
+            .trace()
+            .cloned()
+            .expect("7 is reachable");
+        assert_eq!(witness.len(), 8);
+        model.bads[0] = BadProperty {
+            name: "at_least_five".into(),
+            lit: at_least_five,
+        };
+        // The old minimization: a from-scratch BMC bounded at the witness.
+        let bound = BmcOptions {
+            max_depth: witness.len() - 1,
+            max_induction: 0,
+        };
+        let shortest = check_safety(&model, 0, &bound)
+            .trace()
+            .cloned()
+            .expect("5 is reachable within the witness");
+        assert_eq!(shortest.len(), 6);
+
+        let (pdr_result, _, pdr_lemmas) = crate::pdr::check_pdr_budgeted_lemmas(
+            &model,
+            at_least_five,
+            &PdrOptions::default(),
+            SolverConfig::default(),
+            &Interrupt::none(),
+        );
+        assert!(pdr_result.is_violated());
+        assert!(
+            !pdr_lemmas.is_empty(),
+            "a violated run returns its frame lemmas"
+        );
+        // A hand-written lemma: the value is below 4 for the first 3 steps.
+        let c2 = Lit::new(model.aig.latches()[2].node, false);
+        let hand = [FrameLemma {
+            clause: vec![c2.invert()],
+            through: 3,
+        }];
+        let pdr = PdrOptions::default();
+        for lemmas in [
+            MinimizeLemmas::None,
+            MinimizeLemmas::Found(&pdr_lemmas),
+            MinimizeLemmas::Found(&hand),
+            MinimizeLemmas::Harvest(&pdr),
+        ] {
+            let (minimal, stats) = minimize_counterexample(
+                &model,
+                0,
+                witness.clone(),
+                lemmas,
+                SolverConfig::default(),
+                &Interrupt::none(),
+            );
+            assert_eq!(minimal.len(), shortest.len(), "{lemmas:?}");
+            assert_eq!(minimal.value(5, "c2"), Some(true), "{lemmas:?}");
+            assert!(stats.propagations > 0, "{lemmas:?}");
+        }
+    }
+
+    #[test]
+    fn an_interrupted_minimization_keeps_the_witness() {
+        let (mut model, at_least_five, is_seven) = enabled_counter();
+        model.bads.push(BadProperty {
+            name: "is_seven".into(),
+            lit: is_seven,
+        });
+        let witness = check_safety(&model, 0, &BmcOptions::default())
+            .trace()
+            .cloned()
+            .expect("7 is reachable");
+        model.bads[0].lit = at_least_five;
+        // Tripped before the walk starts.
+        let cancelled = Interrupt::new(None, None, None);
+        cancelled.fire(InterruptReason::Cancelled);
+        // Runs out of steps inside the lemma-harvesting PDR run, which
+        // charges one step per query.
+        let starved = Interrupt::new(None, Some(2), None);
+        let pdr = PdrOptions::default();
+        for (interrupt, lemmas) in [
+            (&cancelled, MinimizeLemmas::None),
+            (&cancelled, MinimizeLemmas::Harvest(&pdr)),
+            (&starved, MinimizeLemmas::Harvest(&pdr)),
+        ] {
+            let (kept, _) = minimize_counterexample(
+                &model,
+                0,
+                witness.clone(),
+                lemmas,
+                SolverConfig::default(),
+                interrupt,
+            );
+            assert_eq!(kept, witness, "{lemmas:?}");
+        }
+        assert!(starved.triggered().is_some());
     }
 }

@@ -21,8 +21,8 @@
 
 use crate::aig::Lit;
 use crate::bmc::{
-    check_cover_budgeted, check_safety_budgeted, race_safety_budgeted, BmcOptions, CoverResult,
-    RaceOptions, SafetyResult,
+    check_cover_budgeted, check_safety_budgeted, minimize_counterexample, race_safety_budgeted,
+    BmcOptions, CoverResult, MinimizeLemmas, RaceOptions, SafetyResult,
 };
 use crate::coi::{
     cone_of_influence, fingerprint, signature_overlap, state_signature, Fingerprint, SliceTarget,
@@ -82,7 +82,8 @@ pub struct CheckOptions {
     pub disable_pdr: bool,
     /// Disable every BMC stage (quick and full-depth) of the cascade.  Used
     /// by the engine ablation benchmarks and the fuzz-only smoke mode; also
-    /// skips the SAT re-minimization of fuzzer-found counterexamples.
+    /// skips counterexample minimization, so each engine's raw trace is
+    /// reported.
     pub disable_bmc: bool,
     /// Depth of the *quick* BMC pass run before the exact engine.  Short
     /// counterexamples are found here with minimal effort; anything deeper is
@@ -91,10 +92,11 @@ pub struct CheckOptions {
     pub quick_bmc_depth: usize,
     /// The pre-cascade stimulus fuzzer: bit-parallel simulation of every
     /// safety property's slice, hunting shallow bugs before any SAT query.
-    /// Confirmed hits are re-minimized by a depth-bounded BMC call (unless
-    /// `disable_bmc`), so the reported trace — and therefore
-    /// [`VerificationReport::render`] — is byte-identical with the fuzz
-    /// stage on or off, for any seed.
+    /// Confirmed hits are re-minimized (unless `disable_bmc`) by the
+    /// incremental, PDR-lemma-strengthened walk of
+    /// [`crate::bmc::minimize_counterexample`], so the reported trace
+    /// length — and therefore [`VerificationReport::render`] — is
+    /// byte-identical with the fuzz stage on or off, for any seed.
     pub fuzz: FuzzOptions,
     /// Waveform output: when a directory is set, every counterexample and
     /// witness trace — fuzzer-found and SAT-found — is written there as a
@@ -1462,6 +1464,10 @@ fn store(
 /// stimulus fuzzer.
 pub const FUZZ_ENGINE: &str = "fuzz";
 
+/// The stage tag of counterexample minimization (the engine an error row
+/// names when the minimizer panics).
+const MINIMIZE_ENGINE: &str = "minimize";
+
 /// The outcome of one property task, before assembly into a
 /// [`PropertyResult`] (which adds the name/class/slice context and the
 /// wall-clock runtime).
@@ -1512,45 +1518,45 @@ fn run_task(task: &PropertyTask, ctx: &TaskCtx<'_>, interrupt: &Interrupt) -> Ta
     }
 }
 
-/// Canonicalizes a safety counterexample to the *minimal* depth via a
-/// bounded BMC call (guaranteed SAT at or below the witnessed depth).  PDR
-/// and the explicit engine return correct but not necessarily shortest
-/// traces, and the fuzzer's hits land wherever the stimulus happened to
-/// strike; re-minimizing makes the reported trace length a function of the
-/// model alone, so `render()` is byte-identical no matter which engine got
-/// there first.  A no-op under `disable_bmc` (the ablation configurations
-/// keep each engine's raw trace).  An interrupt mid-minimization keeps the
-/// original (unminimized but correct) trace — the verdict is never lost.
+/// Canonicalizes a safety counterexample to the minimal depth with the
+/// lemma-strengthened walk of [`minimize_counterexample`], so the reported
+/// trace length is a function of the model alone and `render()` is
+/// byte-identical no matter which engine got there first.  `lemmas` are
+/// the frame lemmas of the PDR run that found the trace; for every other
+/// witness source (`None`) the walk harvests them with a PDR run capped at
+/// the witness depth, or walks without any under `disable_pdr`.  A no-op
+/// under `disable_bmc` (the ablation configurations keep each engine's raw
+/// trace).  An interrupt mid-minimization keeps the original (unminimized
+/// but correct) trace — the verdict is never lost.  A panic in here
+/// degrades the property to `ERROR in minimize`.
 fn minimize_safety_cex(
     model: &Model,
     index: usize,
     trace: Trace,
+    lemmas: Option<&[FrameLemma]>,
     options: &CheckOptions,
     stats: &mut SolverStats,
     interrupt: &Interrupt,
 ) -> Trace {
-    if options.disable_bmc || trace.is_empty() {
+    if options.disable_bmc {
         return trace;
     }
+    interrupt::set_current_engine(MINIMIZE_ENGINE);
     let _span = telemetry::span_detail(
         "engine.minimize",
         &model.bads[index].name,
-        Some("bmc"),
+        Some(MINIMIZE_ENGINE),
         None,
     );
-    let bound = BmcOptions {
-        max_depth: trace.len() - 1,
-        max_induction: 0,
+    let lemmas = match lemmas {
+        Some(lemmas) => MinimizeLemmas::Found(lemmas),
+        None if options.disable_pdr => MinimizeLemmas::None,
+        None => MinimizeLemmas::Harvest(&options.pdr),
     };
-    let (result, s) = check_safety_budgeted(model, index, &bound, options.solver, interrupt);
+    let (minimal, s) =
+        minimize_counterexample(model, index, trace, lemmas, options.solver, interrupt);
     *stats += s;
-    match result {
-        SafetyResult::Violated(minimal) => minimal,
-        // Unreachable (a concrete witness exists at this depth) and
-        // Interrupted both fall back to the witnessed trace: never let the
-        // minimizer lose the verdict.
-        _ => trace,
-    }
+    minimal
 }
 
 fn check_safety_task(
@@ -1607,8 +1613,9 @@ fn check_safety_task(
         };
         fuzz_stats = Some(fstats);
         if let Some(hit) = hit {
-            let trace =
-                minimize_safety_cex(model, index, hit.trace, options, &mut stats, interrupt);
+            let trace = minimize_safety_cex(
+                model, index, hit.trace, None, options, &mut stats, interrupt,
+            );
             store(
                 cache,
                 &key,
@@ -1672,10 +1679,10 @@ fn check_safety_task(
     }
     // PDR: the unbounded engine that closes the reachability-dependent
     // proofs (counter-vs-state invariants) induction cannot, without the
-    // explicit engine's exponential cliff.  When PDR itself is
-    // inconclusive, its frame clauses — facts about states reachable
-    // within k steps — are harvested as lemmas for the full-depth BMC
-    // race below.
+    // explicit engine's exponential cliff.  Its frame clauses — facts
+    // about states reachable within k steps — are harvested as lemmas:
+    // the counterexample minimizer asserts them when PDR finds a trace,
+    // and the full-depth BMC race below when PDR is inconclusive.
     let mut lemmas: Vec<FrameLemma> = Vec::new();
     if !options.disable_pdr {
         interrupt::set_current_engine("pdr");
@@ -1703,8 +1710,15 @@ fn check_safety_task(
                 );
             }
             PdrResult::Violated(trace) => {
-                let trace =
-                    minimize_safety_cex(model, index, trace, options, &mut stats, interrupt);
+                let trace = minimize_safety_cex(
+                    model,
+                    index,
+                    trace,
+                    Some(&lemmas),
+                    options,
+                    &mut stats,
+                    interrupt,
+                );
                 store(
                     cache,
                     &key,
@@ -1732,7 +1746,7 @@ fn check_safety_task(
             }
             ExplicitResult::Violated(trace) => {
                 let trace =
-                    minimize_safety_cex(model, index, trace, options, &mut stats, interrupt);
+                    minimize_safety_cex(model, index, trace, None, options, &mut stats, interrupt);
                 store(
                     cache,
                     &key,
@@ -1820,7 +1834,7 @@ fn check_safety_task(
             // race; re-minimize to the canonical single-solver trace so
             // `render()` is byte-identical with sharing on or off.
             let trace = if raced {
-                minimize_safety_cex(model, index, trace, options, &mut stats, interrupt)
+                minimize_safety_cex(model, index, trace, None, options, &mut stats, interrupt)
             } else {
                 trace
             };

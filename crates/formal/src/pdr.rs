@@ -275,10 +275,13 @@ pub fn check_pdr_budgeted(
 }
 
 /// Like [`check_pdr_budgeted`], additionally returning the [`FrameLemma`]s
-/// of the partial trapezoid when the run ends [`PdrResult::Unknown`] (the
-/// budget ran out).  On every other outcome the lemma list is empty: a
-/// proof or counterexample makes them moot, and an interrupted run must
-/// not hand partial work to a caller that is being preempted.
+/// of the trapezoid when the run ends [`PdrResult::Unknown`] (the budget
+/// ran out: the full-depth BMC race asserts them) or
+/// [`PdrResult::Violated`] (the counterexample minimizer asserts them, see
+/// [`crate::bmc::minimize_counterexample`]).  On a proof or an interrupt
+/// the lemma list is empty: an invariant makes them moot, and an
+/// interrupted run must not hand partial work to a caller that is being
+/// preempted.
 pub fn check_pdr_budgeted_lemmas(
     model: &Model,
     bad: Lit,
@@ -287,16 +290,27 @@ pub fn check_pdr_budgeted_lemmas(
     interrupt: &Interrupt,
 ) -> (PdrResult, SolverStats, Vec<FrameLemma>) {
     let _span = crate::telemetry::span("pdr.solve", "");
-    let mut pdr = Pdr::new(model, bad, options, solver, interrupt.clone());
-    let result = pdr.run();
-    let lemmas = if matches!(result, PdrResult::Unknown { .. }) {
-        pdr.frame_lemmas()
-    } else {
-        Vec::new()
-    };
-    let stats = pdr.unroller.stats();
+    let (result, stats, lemmas) = run_pdr(model, bad, options, solver, interrupt);
     crate::telemetry::count_solver("pdr", &stats);
     (result, stats, lemmas)
+}
+
+/// The uninstrumented run behind [`check_pdr_budgeted_lemmas`]: no span
+/// and no solver counters, so a caller can account the work as its own.
+pub(crate) fn run_pdr(
+    model: &Model,
+    bad: Lit,
+    options: &PdrOptions,
+    solver: SolverConfig,
+    interrupt: &Interrupt,
+) -> (PdrResult, SolverStats, Vec<FrameLemma>) {
+    let mut pdr = Pdr::new(model, bad, options, solver, interrupt.clone());
+    let result = pdr.run();
+    let lemmas = match result {
+        PdrResult::Unknown { .. } | PdrResult::Violated(_) => pdr.frame_lemmas(),
+        PdrResult::Proven(_) | PdrResult::Interrupted => Vec::new(),
+    };
+    (result, pdr.unroller.stats(), lemmas)
 }
 
 /// A cube: a partial latch valuation, as sorted `(latch position, value)`
@@ -352,8 +366,9 @@ struct Pdr<'a> {
     f1: Vec<SatLit>,
     input_nodes: Vec<usize>,
     input_f0: Vec<SatLit>,
-    latch_pos_of: HashMap<usize, usize>,
-    input_pos_of: HashMap<usize, usize>,
+    /// Per AIG node: its position among the inputs (input nodes) or the
+    /// latches (latch nodes), `usize::MAX` for every other node.
+    node_pos: Vec<usize>,
     bad0: SatLit,
     /// `frames[0]` is the initial-state frame (its activation literal guards
     /// the init unit clauses); `frames[i]` for `i ≥ 1` holds the delta cubes
@@ -407,17 +422,13 @@ impl<'a> Pdr<'a> {
             let unit = if latch_init[pos] { sl } else { sl.negate() };
             unroller.add_clause(&[init_act.negate(), unit]);
         }
-        let latch_pos_of = latch_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        let input_pos_of = input_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
         let num_nodes = aig.num_nodes();
+        let mut node_pos = vec![usize::MAX; num_nodes];
+        for nodes in [&latch_nodes, &input_nodes] {
+            for (pos, &node) in nodes.iter().enumerate() {
+                node_pos[node] = pos;
+            }
+        }
         Pdr {
             model,
             bad,
@@ -430,8 +441,7 @@ impl<'a> Pdr<'a> {
             f1,
             input_nodes,
             input_f0,
-            latch_pos_of,
-            input_pos_of,
+            node_pos,
             bad0,
             frames: vec![Frame {
                 act: init_act,
@@ -551,8 +561,8 @@ impl<'a> Pdr<'a> {
         for idx in 0..self.val3.len() {
             self.val3[idx] = match self.model.aig.node(idx) {
                 Node::False => Some(false),
-                Node::Input => self.input_pos_of.get(&idx).map(|&p| inputs[p]),
-                Node::Latch => self.latch_pos_of.get(&idx).and_then(|&p| latches[p]),
+                Node::Input => inputs.get(self.node_pos[idx]).copied(),
+                Node::Latch => latches.get(self.node_pos[idx]).copied().flatten(),
                 Node::And(a, b) => {
                     let va = self.lit3(a);
                     let vb = self.lit3(b);

@@ -576,3 +576,77 @@ fn witness_replay_panic_degrades_only_the_properties_on_its_slice() {
         }
     }
 }
+
+/// A ghost-response echo: `res_val` fires without any request, so its
+/// response-side safety assertions fail within the first cycles, and each
+/// fuzzer hit goes through the counterexample minimizer.
+const GHOST_ECHO: &str = r#"
+/*AUTOSVA
+rbg_txn: req -in> res
+req_val = req_val
+req_ack = req_ack
+res_val = res_val
+*/
+module rbg_echo (
+  input  logic clk_i,
+  input  logic rst_ni,
+  input  logic req_val,
+  output logic req_ack,
+  output logic res_val
+);
+  assign req_ack = 1'b1;
+  assign res_val = !req_val;
+endmodule
+"#;
+
+/// The containment contract for counterexample minimization: a panic in
+/// the minimizer's depth loop (the `minimize.depth_step` site) turns only
+/// the property being minimized into `ERROR in minimize`, and every other
+/// verdict — other minimized counterexamples included — renders
+/// byte-identically, at 1 and 4 workers.  A spurious timeout there keeps
+/// the witnessed (replay-confirmed) trace, so the verdict survives.
+#[test]
+fn minimizer_panic_degrades_only_its_own_property() {
+    let ft = generate_ft(GHOST_ECHO, &AutosvaOptions::default()).unwrap();
+    for threads in [1usize, 4] {
+        let mut options = options_with_threads(threads);
+        options.telemetry.enabled = true;
+        let baseline = verify(GHOST_ECHO, &ft, &options).unwrap();
+        let minimized: Vec<String> = baseline
+            .results
+            .iter()
+            .filter(|r| r.status.is_violation() && r.engine == Some(crate::checker::FUZZ_ENGINE))
+            .map(|r| r.name.clone())
+            .collect();
+        let target = minimized.first().expect("a fuzz-found violation").clone();
+        let faulty = {
+            let _arm = faults::arm("minimize.depth_step", FaultAction::Panic, Some(&target));
+            verify(GHOST_ECHO, &ft, &options).unwrap()
+        };
+        let row = faulty.results.iter().find(|r| r.name == target).unwrap();
+        assert_eq!(
+            row.status,
+            PropertyStatus::Error {
+                engine: "minimize",
+                message: "fault injected at minimize.depth_step".to_string(),
+            }
+        );
+        assert_only_target_degraded(&baseline, &faulty, &target);
+        assert!(faulty
+            .render()
+            .contains("ERROR in minimize: fault injected at minimize.depth_step"));
+        assert_eq!(counter(&faulty, "robustness.panics_caught"), 1);
+
+        let timed_out = {
+            let _arm = faults::arm("minimize.depth_step", FaultAction::Timeout, Some(&target));
+            verify(GHOST_ECHO, &ft, &options).unwrap()
+        };
+        let row = timed_out.results.iter().find(|r| r.name == target).unwrap();
+        assert!(
+            row.status.is_violation(),
+            "the witness was lost: {}",
+            row.status
+        );
+        assert_only_target_degraded(&baseline, &timed_out, &target);
+    }
+}

@@ -307,6 +307,11 @@ pub(crate) fn count_solver(engine: &'static str, stats: &crate::sat::SolverStats
             "solver.pdr.propagations",
             "solver.pdr.restarts",
         ),
+        "minimize" => (
+            "solver.minimize.conflicts",
+            "solver.minimize.propagations",
+            "solver.minimize.restarts",
+        ),
         _ => return,
     };
     count(names.0, stats.conflicts);
@@ -1135,12 +1140,14 @@ mod tests {
             };
             count_solver("bmc", &stats);
             count_solver("pdr", &stats);
+            count_solver("minimize", &stats);
             count_solver("unknown-engine", &stats);
         }
         let report = telemetry.finish(summary()).unwrap();
         assert_eq!(report.counter("solver.bmc.conflicts"), Some(3));
         assert_eq!(report.counter("solver.pdr.propagations"), Some(100));
         assert_eq!(report.counter("solver.bmc.restarts"), Some(1));
-        assert_eq!(report.counters.len(), 6);
+        assert_eq!(report.counter("solver.minimize.conflicts"), Some(3));
+        assert_eq!(report.counters.len(), 9);
     }
 }

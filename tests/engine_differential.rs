@@ -11,11 +11,16 @@
 use autosva_bench::{build_testbench, default_check_options};
 use autosva_designs::{all_cases, elaborated, Variant};
 use autosva_formal::aig::{Aig, Lit};
-use autosva_formal::bmc::{check_safety, BmcOptions, SafetyResult};
-use autosva_formal::checker::verify_elaborated;
+use autosva_formal::bmc::{
+    check_safety, check_safety_budgeted, minimize_counterexample, BmcOptions, MinimizeLemmas,
+    SafetyResult,
+};
+use autosva_formal::checker::{verify_elaborated, PropertyStatus};
 use autosva_formal::coi::{cone_of_influence, SliceTarget};
+use autosva_formal::compile::{compile, CompiledKind};
 use autosva_formal::explicit::{ExplicitEngine, ExplicitOptions, ExplicitResult};
 use autosva_formal::fuzz::{fuzz_safety, FuzzOptions};
+use autosva_formal::interrupt::Interrupt;
 use autosva_formal::model::{BadProperty, Model};
 use autosva_formal::pdr::{check_pdr, PdrOptions, PdrResult};
 use autosva_formal::sat::{SatLit, SatResult, SolverConfig};
@@ -90,7 +95,8 @@ fn random_model(seed: u64, num_latches: usize, num_inputs: usize, num_gates: usi
 }
 
 /// Replays a counterexample trace through the two-state simulator and
-/// checks that the bad monitor fires at the final cycle.
+/// checks that every invariant constraint holds on every cycle and the
+/// model's first bad monitor (a slice's target) fires at the final one.
 fn trace_replays(model: &Model, trace: &autosva_formal::trace::Trace) -> bool {
     let mut sim = Simulator::new(model);
     let input_names: Vec<String> = (0..model.aig.num_inputs())
@@ -103,7 +109,13 @@ fn trace_replays(model: &Model, trace: &autosva_formal::trace::Trace) -> bool {
             .map(|n| (n.clone(), trace.value(cycle, n).unwrap_or(false)))
             .collect();
         let violations = sim.step_named(&inputs);
-        fired_last = violations.iter().any(|v| v.property == "random_bad");
+        if violations
+            .iter()
+            .any(|v| v.property.starts_with("constraint_"))
+        {
+            return false;
+        }
+        fired_last = violations.iter().any(|v| v.property == model.bads[0].name);
     }
     fired_last
 }
@@ -597,17 +609,32 @@ proptest! {
                 trace_replays(&model, &hit.trace),
                 "fuzz counterexample does not replay (seed {seed})"
             );
+            let bounded = check_safety(
+                &model,
+                0,
+                &BmcOptions { max_depth: hit.cycle, max_induction: 0 },
+            );
+            let SafetyResult::Violated(shortest) = bounded else {
+                panic!(
+                    "fuzz hit at cycle {} is not a BMC counterexample at that depth (seed {seed})",
+                    hit.cycle
+                );
+            };
+            // The cascade's minimizer (lemmas harvested by a capped PDR
+            // run) lands on the same minimal depth, with a trace that
+            // replays.
+            let (minimal, _) = minimize_counterexample(
+                &model,
+                0,
+                hit.trace.clone(),
+                MinimizeLemmas::Harvest(&PdrOptions::default()),
+                SolverConfig::default(),
+                &Interrupt::none(),
+            );
+            prop_assert_eq!(minimal.len(), shortest.len(), "seed {}", seed);
             prop_assert!(
-                matches!(
-                    check_safety(
-                        &model,
-                        0,
-                        &BmcOptions { max_depth: hit.cycle, max_induction: 0 },
-                    ),
-                    SafetyResult::Violated(_)
-                ),
-                "fuzz hit at cycle {} is not a BMC counterexample at that depth (seed {seed})",
-                hit.cycle
+                trace_replays(&model, &minimal),
+                "minimized fuzz counterexample does not replay (seed {seed})"
             );
         }
 
@@ -782,6 +809,73 @@ fn fuzz_on_and_off_corpus_reports_are_byte_identical() {
             }
         }
     }
+}
+
+/// The counterexample minimizer against the bound it replaced: for every
+/// violated safety property of the corpus, with the fuzzer on and off,
+/// the reported trace is as long as the shortest one a from-scratch
+/// bounded BMC call finds on the property's optimized slice (the old
+/// minimization: BMC bounded at the trace's depth, no induction), and it
+/// replays on that slice.
+#[test]
+fn minimized_corpus_counterexamples_match_the_from_scratch_bound() {
+    let mut checked = 0usize;
+    for case in all_cases() {
+        if !case.has_bug_parameter {
+            continue;
+        }
+        let ft = build_testbench(&case);
+        let design = elaborated(&case, Variant::Buggy);
+        let compiled = compile(&design, &ft).expect("corpus testbench compiles");
+        for fuzz in [true, false] {
+            let mut options = default_check_options(&case, Variant::Buggy);
+            options.fuzz.enabled = fuzz;
+            let report = verify_elaborated(&design, &ft, &options).expect("verification runs");
+            for prop in &compiled.properties {
+                let CompiledKind::Safety(index) = prop.kind else {
+                    continue;
+                };
+                let name = prop.property.full_name();
+                let row = report
+                    .results
+                    .iter()
+                    .find(|r| r.name == name)
+                    .expect("every property has a row");
+                let PropertyStatus::Violated(trace) = &row.status else {
+                    continue;
+                };
+                let slice = cone_of_influence(&compiled.model, SliceTarget::Bad(index)).model;
+                let model = autosva_formal::opt::optimize(&slice).model;
+                let bound = BmcOptions {
+                    max_depth: trace.len() - 1,
+                    max_induction: 0,
+                };
+                let (old, _) =
+                    check_safety_budgeted(&model, 0, &bound, options.solver, &Interrupt::none());
+                let SafetyResult::Violated(shortest) = old else {
+                    panic!(
+                        "{} `{name}` (fuzz {fuzz}): no counterexample within the reported \
+                         {} cycles: {old:?}",
+                        case.id,
+                        trace.len()
+                    );
+                };
+                assert_eq!(
+                    trace.len(),
+                    shortest.len(),
+                    "{} `{name}` (fuzz {fuzz}): reported trace is not minimal",
+                    case.id
+                );
+                assert!(
+                    trace_replays(&model, trace),
+                    "{} `{name}` (fuzz {fuzz}): reported trace does not replay",
+                    case.id
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "the corpus has violated safety properties");
 }
 
 /// The clause-sharing determinism contract: the rendered report of the
