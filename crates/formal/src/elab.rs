@@ -962,6 +962,44 @@ struct Elaborator<'a> {
     lint: ElabLintFacts,
 }
 
+/// The signal environment of a symbolically executed procedural block.
+struct ProcEnv {
+    /// Values that reads see: every write of a combinational block; in a
+    /// sequential block, the registers' current values plus blocking
+    /// writes.
+    visible: HashMap<String, Val>,
+    /// In a sequential block, the registers' pending next values: every
+    /// write merges into them, but no read sees them, so a register read
+    /// after a `<=` (later in the block or in a later block) still reads
+    /// the current state.  `None` in combinational code.
+    next: Option<HashMap<String, Val>>,
+}
+
+impl ProcEnv {
+    /// An empty environment whose writes are all immediately visible.
+    fn combinational() -> ProcEnv {
+        ProcEnv {
+            visible: HashMap::new(),
+            next: None,
+        }
+    }
+}
+
+/// An assignment target with its index expression already evaluated.
+enum Target {
+    /// A whole signal.
+    Whole(String),
+    /// The element of an unpacked array, or the bit of a packed vector,
+    /// selected by run-time index bits.
+    Index(String, Vec<Lit>),
+    /// The constant bit slice `(name, offset, width)` of a range select or
+    /// struct member.
+    Slice(String, usize, usize),
+    /// `{a, b, ...}`: whole signals with their widths, most significant
+    /// first.
+    Concat(Vec<(String, usize)>),
+}
+
 /// Per-module-instance elaboration state.
 struct ModuleScope {
     prefix: String,
@@ -1397,18 +1435,26 @@ impl<'a> Elaborator<'a> {
         drivers: &HashMap<String, Driver>,
         regs: &[String],
     ) -> Result<()> {
-        let mut next_values: HashMap<String, Val> = HashMap::new();
-        for name in regs {
-            next_values.insert(name.clone(), scope.values[name].clone());
-        }
+        // Reads see the registers' current values (plus blocking writes);
+        // `<=` writes merge into the pending next values, which no read of
+        // any sequential block sees.
+        let current: HashMap<String, Val> = regs
+            .iter()
+            .map(|name| (name.clone(), scope.values[name].clone()))
+            .collect();
+        let mut env = ProcEnv {
+            visible: current.clone(),
+            next: Some(current),
+        };
         for item in &module.items {
             if let ModuleItem::Always(block) = item {
                 if is_sequential(block) {
                     let update = self.strip_reset_branch(block)?;
-                    self.exec_stmt(module, scope, drivers, &update, Lit::TRUE, &mut next_values)?;
+                    self.exec_stmt(module, scope, drivers, &update, Lit::TRUE, &mut env)?;
                 }
             }
         }
+        let next_values = env.next.expect("sequential environment");
         for name in regs {
             let current = scope.values[name].clone();
             let next = next_values[name].clone();
@@ -1913,11 +1959,11 @@ impl<'a> Elaborator<'a> {
                 // Initialise the target with zeros, execute the single
                 // assignment, and read the result back — this handles partial
                 // (bit/element) targets uniformly.
-                let mut env: HashMap<String, Val> = HashMap::new();
-                env.insert(name.to_string(), default_value(&info));
+                let mut env = ProcEnv::combinational();
+                env.visible.insert(name.to_string(), default_value(&info));
                 let stmt = Stmt::Blocking(assign.clone());
                 self.exec_stmt(module, scope, drivers, &stmt, Lit::TRUE, &mut env)?;
-                env.remove(name).expect("assigned value")
+                env.visible.remove(name).expect("assigned value")
             }
             Some(Driver::Comb(idx)) => {
                 let block = match &module.items[idx] {
@@ -1926,13 +1972,14 @@ impl<'a> Elaborator<'a> {
                 };
                 let mut targets = Vec::new();
                 collect_assign_targets(&block.body, true, &mut targets);
-                let mut env: HashMap<String, Val> = HashMap::new();
+                let mut env = ProcEnv::combinational();
                 for t in &targets {
                     if let Some(ti) = scope.infos.get(t) {
-                        env.insert(t.clone(), default_value(ti));
+                        env.visible.insert(t.clone(), default_value(ti));
                     }
                 }
                 self.exec_stmt(module, scope, drivers, &block.body, Lit::TRUE, &mut env)?;
+                let env = env.visible;
                 // Publish every signal computed by this block.
                 let result = env
                     .get(name)
@@ -2026,7 +2073,7 @@ impl<'a> Elaborator<'a> {
         }
     }
 
-    /// Symbolically executes a statement, updating `env` (the map of assigned
+    /// Symbolically executes a statement, updating `env` (the assigned
     /// signals) under the path condition `cond`.
     fn exec_stmt(
         &mut self,
@@ -2035,7 +2082,7 @@ impl<'a> Elaborator<'a> {
         drivers: &HashMap<String, Driver>,
         stmt: &Stmt,
         cond: Lit,
-        env: &mut HashMap<String, Val>,
+        env: &mut ProcEnv,
     ) -> Result<()> {
         match stmt {
             Stmt::Empty => Ok(()),
@@ -2046,15 +2093,27 @@ impl<'a> Elaborator<'a> {
                 Ok(())
             }
             Stmt::Blocking(assign) | Stmt::NonBlocking(assign) => {
-                let rhs = self.eval_expr_env(module, scope, drivers, &assign.rhs, env)?;
-                self.assign_lvalue(module, scope, drivers, &assign.lhs, rhs, cond, env)
+                let rhs = self.eval_expr_env(module, scope, drivers, &assign.rhs, &env.visible)?;
+                let target =
+                    self.resolve_target(module, scope, drivers, &assign.lhs, &env.visible)?;
+                match &mut env.next {
+                    Some(next) => {
+                        if matches!(stmt, Stmt::Blocking(_)) {
+                            self.write_target(scope, &target, rhs.clone(), cond, &mut env.visible)?;
+                        }
+                        self.write_target(scope, &target, rhs, cond, next)
+                    }
+                    None => self.write_target(scope, &target, rhs, cond, &mut env.visible),
+                }
             }
             Stmt::If {
                 cond: c,
                 then_branch,
                 else_branch,
             } => {
-                let c_bits = self.eval_expr_env(module, scope, drivers, c, env)?.word()?;
+                let c_bits = self
+                    .eval_expr_env(module, scope, drivers, c, &env.visible)?
+                    .word()?;
                 let c_lit = words::reduce_or(&mut self.aig, &c_bits);
                 let then_cond = self.aig.and(cond, c_lit);
                 self.exec_stmt(module, scope, drivers, then_branch, then_cond, env)?;
@@ -2067,7 +2126,7 @@ impl<'a> Elaborator<'a> {
             }
             Stmt::Case { subject, items } => {
                 let subject_bits = self
-                    .eval_expr_env(module, scope, drivers, subject, env)?
+                    .eval_expr_env(module, scope, drivers, subject, &env.visible)?
                     .word()?;
                 let mut matched_any = Lit::FALSE;
                 let mut default_item: Option<&CaseItem> = None;
@@ -2079,7 +2138,7 @@ impl<'a> Elaborator<'a> {
                     let mut this_match = Lit::FALSE;
                     for label in &item.labels {
                         let label_bits = self
-                            .eval_expr_env(module, scope, drivers, label, env)?
+                            .eval_expr_env(module, scope, drivers, label, &env.visible)?
                             .word()?;
                         let m = words::eq(&mut self.aig, &subject_bits, &label_bits);
                         this_match = self.aig.or(this_match, m);
@@ -2100,125 +2159,53 @@ impl<'a> Elaborator<'a> {
         }
     }
 
-    /// Assigns `rhs` to an lvalue under path condition `cond`.
-    #[allow(clippy::too_many_arguments)]
-    fn assign_lvalue(
+    /// Resolves an assignment target, evaluating its index expressions
+    /// against `reads`.
+    fn resolve_target(
         &mut self,
         module: &Module,
         scope: &mut ModuleScope,
         drivers: &HashMap<String, Driver>,
         lhs: &Expr,
-        rhs: Val,
-        cond: Lit,
-        env: &mut HashMap<String, Val>,
-    ) -> Result<()> {
+        reads: &HashMap<String, Val>,
+    ) -> Result<Target> {
+        let known = |scope: &ModuleScope, name: &str| {
+            if scope.infos.contains_key(name) {
+                Ok(())
+            } else {
+                Err(ElabError::new(format!(
+                    "assignment to unknown signal `{name}`"
+                )))
+            }
+        };
         match lhs {
             Expr::Ident(name) => {
-                let info = scope.infos.get(name).cloned().ok_or_else(|| {
-                    ElabError::new(format!("assignment to unknown signal `{name}`"))
-                })?;
-                let old = env
-                    .get(name)
-                    .cloned()
-                    .unwrap_or_else(|| default_value(&info));
-                let new = match (old, rhs) {
-                    (Val::Word(old), rhs) => {
-                        // The declared width of the target wins: the RHS is
-                        // truncated or zero-extended to fit.
-                        let rhs = words::resize(&rhs.word()?, old.len());
-                        Val::Word(words::mux(&mut self.aig, cond, &rhs, &old))
-                    }
-                    (Val::Array(old), Val::Array(new)) => {
-                        let merged: Vec<Vec<Lit>> = old
-                            .iter()
-                            .zip(new.iter())
-                            .map(|(o, n)| words::mux(&mut self.aig, cond, n, o))
-                            .collect();
-                        Val::Array(merged)
-                    }
-                    (Val::Array(_), Val::Word(_)) => {
-                        return Err(ElabError::new(format!(
-                            "cannot assign a packed value to the whole array `{name}`"
-                        )))
-                    }
-                };
-                env.insert(name.clone(), new);
-                Ok(())
+                known(scope, name)?;
+                Ok(Target::Whole(name.clone()))
             }
             Expr::Index { base, index } => {
                 let name = base
                     .as_ident()
                     .ok_or_else(|| ElabError::new("indexed assignment base must be a signal"))?
                     .to_string();
-                let info = scope.infos.get(&name).cloned().ok_or_else(|| {
-                    ElabError::new(format!("assignment to unknown signal `{name}`"))
-                })?;
+                known(scope, &name)?;
                 let index_bits = self
-                    .eval_expr_env(module, scope, drivers, index, env)?
+                    .eval_expr_env(module, scope, drivers, index, reads)?
                     .word()?;
-                let old = env
-                    .get(&name)
-                    .cloned()
-                    .unwrap_or_else(|| default_value(&info));
-                match old {
-                    Val::Array(elems) => {
-                        let rhs = words::resize(&rhs.word()?, info.width);
-                        let mut new_elems = Vec::with_capacity(elems.len());
-                        for (i, elem) in elems.iter().enumerate() {
-                            let idx_const = words::constant(i as u128, index_bits.len().max(1));
-                            let is_this = words::eq(&mut self.aig, &index_bits, &idx_const);
-                            let write = self.aig.and(cond, is_this);
-                            new_elems.push(words::mux(&mut self.aig, write, &rhs, elem));
-                        }
-                        env.insert(name, Val::Array(new_elems));
-                        Ok(())
-                    }
-                    Val::Word(bits) => {
-                        // Single-bit write into a packed vector.
-                        let rhs = rhs.word()?;
-                        let rhs_bit = rhs.first().copied().unwrap_or(Lit::FALSE);
-                        let mut new_bits = Vec::with_capacity(bits.len());
-                        for (i, &bit) in bits.iter().enumerate() {
-                            let idx_const = words::constant(i as u128, index_bits.len().max(1));
-                            let is_this = words::eq(&mut self.aig, &index_bits, &idx_const);
-                            let write = self.aig.and(cond, is_this);
-                            new_bits.push(self.aig.mux(write, rhs_bit, bit));
-                        }
-                        env.insert(name, Val::Word(new_bits));
-                        Ok(())
-                    }
-                }
+                Ok(Target::Index(name, index_bits))
             }
             Expr::RangeSelect { base, msb, lsb } => {
                 let name = base
                     .as_ident()
                     .ok_or_else(|| ElabError::new("range assignment base must be a signal"))?
                     .to_string();
-                let info = scope.infos.get(&name).cloned().ok_or_else(|| {
-                    ElabError::new(format!("assignment to unknown signal `{name}`"))
-                })?;
+                known(scope, &name)?;
                 let msb = const_eval(msb, &scope.params)? as usize;
                 let lsb = const_eval(lsb, &scope.params)? as usize;
-                let old = env
-                    .get(&name)
-                    .cloned()
-                    .unwrap_or_else(|| default_value(&info))
-                    .word()?;
-                let rhs = words::resize(&rhs.word()?, msb - lsb + 1);
-                let mut new_bits = old.clone();
-                for (k, bit) in rhs.iter().enumerate() {
-                    let pos = lsb + k;
-                    if pos < new_bits.len() {
-                        new_bits[pos] = self.aig.mux(cond, *bit, old[pos]);
-                    }
-                }
-                env.insert(name, Val::Word(new_bits));
-                Ok(())
+                Ok(Target::Slice(name, lsb, msb - lsb + 1))
             }
             Expr::Concat(parts) => {
-                // {a, b} = rhs — split MSB-first.
-                let rhs_bits = rhs.word()?;
-                let mut widths = Vec::new();
+                let mut resolved = Vec::new();
                 for part in parts {
                     let name = part
                         .as_ident()
@@ -2227,29 +2214,103 @@ impl<'a> Elaborator<'a> {
                         .infos
                         .get(name)
                         .ok_or_else(|| ElabError::new(format!("unknown signal `{name}`")))?;
-                    widths.push(info.width);
+                    resolved.push((name.to_string(), info.width));
                 }
-                let total: usize = widths.iter().sum();
-                let rhs_bits = words::resize(&rhs_bits, total);
-                // parts[0] is the most significant.
-                let mut offset = total;
-                for (part, width) in parts.iter().zip(widths.iter()) {
-                    offset -= width;
-                    let slice = rhs_bits[offset..offset + width].to_vec();
-                    self.assign_lvalue(module, scope, drivers, part, Val::Word(slice), cond, env)?;
-                }
-                Ok(())
+                Ok(Target::Concat(resolved))
             }
             Expr::Member { .. } => {
                 let (name, offset, width, _) = self.member_path(scope, lhs)?;
-                let info = scope.infos.get(&name).cloned().ok_or_else(|| {
-                    ElabError::new(format!("assignment to unknown signal `{name}`"))
-                })?;
-                let old = env
-                    .get(&name)
-                    .cloned()
-                    .unwrap_or_else(|| default_value(&info))
-                    .word()?;
+                known(scope, &name)?;
+                Ok(Target::Slice(name, offset, width))
+            }
+            other => Err(ElabError::new(format!(
+                "unsupported assignment target: {other:?}"
+            ))),
+        }
+    }
+
+    /// Writes `rhs` to a resolved target in `env` under path condition
+    /// `cond`, merging into the value `env` holds (the signal's default
+    /// when it holds none).
+    fn write_target(
+        &mut self,
+        scope: &ModuleScope,
+        target: &Target,
+        rhs: Val,
+        cond: Lit,
+        env: &mut HashMap<String, Val>,
+    ) -> Result<()> {
+        let (name, info) = match target {
+            Target::Whole(name) | Target::Index(name, _) | Target::Slice(name, ..) => {
+                (name, &scope.infos[name])
+            }
+            Target::Concat(parts) => {
+                // {a, b} = rhs — split MSB-first.
+                let total: usize = parts.iter().map(|(_, width)| width).sum();
+                let rhs_bits = words::resize(&rhs.word()?, total);
+                // parts[0] is the most significant.
+                let mut offset = total;
+                for (name, width) in parts {
+                    offset -= width;
+                    let slice = rhs_bits[offset..offset + width].to_vec();
+                    let part = Target::Whole(name.clone());
+                    self.write_target(scope, &part, Val::Word(slice), cond, env)?;
+                }
+                return Ok(());
+            }
+        };
+        let old = env
+            .get(name)
+            .cloned()
+            .unwrap_or_else(|| default_value(info));
+        let new = match (target, old) {
+            (Target::Whole(_), Val::Word(old)) => {
+                // The declared width of the target wins: the RHS is
+                // truncated or zero-extended to fit.
+                let rhs = words::resize(&rhs.word()?, old.len());
+                Val::Word(words::mux(&mut self.aig, cond, &rhs, &old))
+            }
+            (Target::Whole(_), Val::Array(old)) => match rhs {
+                Val::Array(new) => {
+                    let merged: Vec<Vec<Lit>> = old
+                        .iter()
+                        .zip(new.iter())
+                        .map(|(o, n)| words::mux(&mut self.aig, cond, n, o))
+                        .collect();
+                    Val::Array(merged)
+                }
+                Val::Word(_) => {
+                    return Err(ElabError::new(format!(
+                        "cannot assign a packed value to the whole array `{name}`"
+                    )))
+                }
+            },
+            (Target::Index(_, index_bits), Val::Array(elems)) => {
+                let rhs = words::resize(&rhs.word()?, info.width);
+                let mut new_elems = Vec::with_capacity(elems.len());
+                for (i, elem) in elems.iter().enumerate() {
+                    let idx_const = words::constant(i as u128, index_bits.len().max(1));
+                    let is_this = words::eq(&mut self.aig, index_bits, &idx_const);
+                    let write = self.aig.and(cond, is_this);
+                    new_elems.push(words::mux(&mut self.aig, write, &rhs, elem));
+                }
+                Val::Array(new_elems)
+            }
+            (Target::Index(_, index_bits), Val::Word(bits)) => {
+                // Single-bit write into a packed vector.
+                let rhs = rhs.word()?;
+                let rhs_bit = rhs.first().copied().unwrap_or(Lit::FALSE);
+                let mut new_bits = Vec::with_capacity(bits.len());
+                for (i, &bit) in bits.iter().enumerate() {
+                    let idx_const = words::constant(i as u128, index_bits.len().max(1));
+                    let is_this = words::eq(&mut self.aig, index_bits, &idx_const);
+                    let write = self.aig.and(cond, is_this);
+                    new_bits.push(self.aig.mux(write, rhs_bit, bit));
+                }
+                Val::Word(new_bits)
+            }
+            (&Target::Slice(_, offset, width), old) => {
+                let old = old.word()?;
                 let rhs = words::resize(&rhs.word()?, width);
                 let mut new_bits = old.clone();
                 for (k, bit) in rhs.iter().enumerate() {
@@ -2258,13 +2319,12 @@ impl<'a> Elaborator<'a> {
                         new_bits[pos] = self.aig.mux(cond, *bit, old[pos]);
                     }
                 }
-                env.insert(name, Val::Word(new_bits));
-                Ok(())
+                Val::Word(new_bits)
             }
-            other => Err(ElabError::new(format!(
-                "unsupported assignment target: {other:?}"
-            ))),
-        }
+            (Target::Concat(_), _) => unreachable!("concatenations write their parts"),
+        };
+        env.insert(name.clone(), new);
+        Ok(())
     }
 
     /// Statically resolves a (possibly nested) member access to
@@ -2311,8 +2371,7 @@ impl<'a> Elaborator<'a> {
         drivers: &HashMap<String, Driver>,
         expr: &Expr,
     ) -> Result<Val> {
-        let mut env = HashMap::new();
-        self.eval_expr_env(module, scope, drivers, expr, &mut env)
+        self.eval_expr_env(module, scope, drivers, expr, &HashMap::new())
     }
 
     /// Evaluates an expression, preferring values from the statement-local
@@ -2323,7 +2382,7 @@ impl<'a> Elaborator<'a> {
         scope: &mut ModuleScope,
         drivers: &HashMap<String, Driver>,
         expr: &Expr,
-        env: &mut HashMap<String, Val>,
+        env: &HashMap<String, Val>,
     ) -> Result<Val> {
         match expr {
             Expr::Number(n) => {
@@ -3696,5 +3755,113 @@ mod tests {
         )
         .unwrap();
         assert_eq!(design.width("y_o"), Some(6));
+    }
+
+    /// The length of the shortest BMC trace on which `sig` equals `value`
+    /// in the single-module design `src` (`None` when none is found).
+    fn first_reach(src: &str, sig: &str, value: u128) -> Option<usize> {
+        let design = elab(src);
+        let bits = design.signal(sig).expect("signal exists").to_vec();
+        let mut model = Model::new(design.aig.clone());
+        let target = words::eq(&mut model.aig, &bits, &words::constant(value, bits.len()));
+        model.bads.push(BadProperty {
+            name: "reach".into(),
+            lit: target,
+        });
+        match check_safety(&model, 0, &BmcOptions::default()) {
+            SafetyResult::Violated(trace) => Some(trace.len()),
+            _ => None,
+        }
+    }
+
+    /// A 2-bit counter `c_q` counting from 0 and a flag `s_q` set once it
+    /// reads 1, declared around the always blocks in `blocks`.
+    fn counter_and_flag(blocks: &str) -> String {
+        format!(
+            "module seq (input logic clk_i, input logic rst_ni, output logic s_o);\n\
+               logic [1:0] c_q;\n\
+               logic s_q;\n\
+               {blocks}\n\
+               assign s_o = s_q;\n\
+             endmodule"
+        )
+    }
+
+    #[test]
+    fn register_read_in_a_later_block_sees_the_current_value() {
+        // c_q is 0, 1, 2 in cycles 0, 1, 2: the flag samples c_q == 1 in
+        // cycle 1 and is first high in cycle 2 (a 3-cycle trace).  Reading
+        // c_q's pending next value would set it a cycle early.
+        let src = counter_and_flag(
+            "always_ff @(posedge clk_i or negedge rst_ni) begin\n\
+               if (!rst_ni) c_q <= 2'd0;\n\
+               else c_q <= c_q + 2'd1;\n\
+             end\n\
+             always_ff @(posedge clk_i or negedge rst_ni) begin\n\
+               if (!rst_ni) s_q <= 1'b0;\n\
+               else if (c_q == 2'd1) s_q <= 1'b1;\n\
+             end",
+        );
+        assert_eq!(first_reach(&src, "s_q", 1), Some(3));
+    }
+
+    #[test]
+    fn register_read_after_a_nonblocking_write_sees_the_current_value() {
+        let src = counter_and_flag(
+            "always_ff @(posedge clk_i or negedge rst_ni) begin\n\
+               if (!rst_ni) begin c_q <= 2'd0; s_q <= 1'b0; end\n\
+               else begin\n\
+                 c_q <= c_q + 2'd1;\n\
+                 if (c_q == 2'd1) s_q <= 1'b1;\n\
+               end\n\
+             end",
+        );
+        assert_eq!(first_reach(&src, "s_q", 1), Some(3));
+    }
+
+    #[test]
+    fn blocking_writes_in_a_sequential_block_stay_visible() {
+        // `t_q = c_q + 1` is read back by the flag's condition in the same
+        // cycle: c_q == 0 in cycle 0 already sets the flag for cycle 1.
+        let src = counter_and_flag(
+            "logic [1:0] t_q;\n\
+             always_ff @(posedge clk_i or negedge rst_ni) begin\n\
+               if (!rst_ni) begin c_q <= 2'd0; s_q <= 1'b0; t_q <= 2'd0; end\n\
+               else begin\n\
+                 t_q = c_q + 2'd1;\n\
+                 c_q <= t_q;\n\
+                 if (t_q == 2'd1) s_q <= 1'b1;\n\
+               end\n\
+             end",
+        );
+        assert_eq!(first_reach(&src, "s_q", 1), Some(2));
+        assert_eq!(first_reach(&src, "c_q", 2), Some(3));
+    }
+
+    #[test]
+    fn partial_nonblocking_writes_merge_and_read_the_current_state() {
+        // Both bit writes land in the next value, and each right-hand side
+        // and index reads the current state: v_q goes 00, 01, 11 (bit 1
+        // copies the old bit 0), and m_q[i_q] sets bit 0, then bit 1, even
+        // though i_q's increment is written first.
+        let src = "module part (input logic clk_i, input logic rst_ni, output logic o);\n\
+             logic [1:0] v_q;\n\
+             logic [1:0] m_q;\n\
+             logic i_q;\n\
+             always_ff @(posedge clk_i or negedge rst_ni) begin\n\
+               if (!rst_ni) begin v_q <= 2'd0; m_q <= 2'd0; i_q <= 1'b0; end\n\
+               else begin\n\
+                 v_q[0] <= 1'b1;\n\
+                 v_q[1] <= v_q[0];\n\
+                 i_q <= i_q + 1'b1;\n\
+                 m_q[i_q] <= 1'b1;\n\
+               end\n\
+             end\n\
+             assign o = v_q[1] & m_q[1];\n\
+           endmodule";
+        assert_eq!(first_reach(src, "v_q", 0b01), Some(2));
+        assert_eq!(first_reach(src, "v_q", 0b11), Some(3));
+        assert_eq!(first_reach(src, "m_q", 0b01), Some(2));
+        assert_eq!(first_reach(src, "m_q", 0b11), Some(3));
     }
 }

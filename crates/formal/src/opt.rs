@@ -229,7 +229,7 @@ pub struct OptResult {
 /// optimizer's model, so a warm run would report other cone sizes than a
 /// cold one.  `tests/opt_golden.rs` pins this version to the optimizer
 /// golden file, so regenerating the golden forces a bump.
-pub const OPT_VERSION: u32 = 1;
+pub const OPT_VERSION: u32 = 2;
 
 /// A checkable record of one [`optimize`] run: for every pass that changed
 /// the model, the facts the pass merged on, as `(node, representative)`

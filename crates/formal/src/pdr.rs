@@ -26,7 +26,9 @@
 //! * **predecessor lifting** — counterexamples-to-induction are widened
 //!   from a concrete state to a cube by ternary simulation of the AIG
 //!   (set a latch to X; keep it dropped while every target stays
-//!   determined);
+//!   determined), incrementally: the concrete state is evaluated once and
+//!   each tried latch re-evaluates only its transitive fanout, with an
+//!   undo log that reverts a rejected drop;
 //! * **certificates** — a proof returns the [`Invariant`] (a CNF over latch
 //!   literals) which [`Invariant::certify`] re-validates with an
 //!   independent, freshly-encoded SAT check.
@@ -379,6 +381,22 @@ struct Pdr<'a> {
     seq: usize,
     /// Ternary-simulation scratch (one value per AIG node; `None` = X).
     val3: Vec<Option<bool>>,
+    /// Transitive AND fanout of every latch position in ascending node
+    /// order, as compressed rows of `(gate, fanin, fanin)`: latch `pos`
+    /// reaches `fanout[fanout_start[pos]..fanout_start[pos + 1]]`.
+    fanout_start: Vec<usize>,
+    fanout: Vec<(usize, Lit, Lit)>,
+    /// Incremental-lifting scratch: per node, whether its ternary value
+    /// changed in the current drop, and the drop's `(node, old value)`
+    /// undo log.
+    lift_changed: Vec<bool>,
+    lift_undo: Vec<(usize, Option<bool>)>,
+    /// Per SAT literal index up to the last primed latch literal (both
+    /// polarities): marks of the current unsat core, read back when
+    /// shrinking a blocked cube.
+    core_marks: Vec<bool>,
+    /// Reused assumption buffer of the solver queries.
+    assumptions: Vec<SatLit>,
     /// Cooperative preemption handle, checked alongside the query budget.
     interrupt: Interrupt,
 }
@@ -429,6 +447,8 @@ impl<'a> Pdr<'a> {
                 node_pos[node] = pos;
             }
         }
+        let (fanout_start, fanout) = latch_fanout(aig, &latch_nodes);
+        let core_marks = vec![false; f1.iter().map(|l| (l.index() | 1) + 1).max().unwrap_or(0)];
         Pdr {
             model,
             bad,
@@ -451,6 +471,12 @@ impl<'a> Pdr<'a> {
             arena: Vec::new(),
             seq: 0,
             val3: vec![None; num_nodes],
+            fanout_start,
+            fanout,
+            lift_changed: vec![false; num_nodes],
+            lift_undo: Vec::new(),
+            core_marks,
+            assumptions: Vec::new(),
             interrupt,
         }
     }
@@ -465,11 +491,17 @@ impl<'a> Pdr<'a> {
         self.interrupt.triggered().is_some()
     }
 
-    fn frame_assumptions(&self, frame: usize) -> Vec<SatLit> {
+    /// The reused assumption buffer, filled with the activation literals
+    /// of `F_frame`; hand it back through `self.assumptions` after the
+    /// query.
+    fn frame_assumptions(&mut self, frame: usize) -> Vec<SatLit> {
         // Delta encoding: F_i is the conjunction of the clause sets of
         // frames i.. (F_0 additionally activates the init units, and every
         // blocked clause also holds at init).
-        self.frames[frame..].iter().map(|f| f.act).collect()
+        let mut assumptions = std::mem::take(&mut self.assumptions);
+        assumptions.clear();
+        assumptions.extend(self.frames[frame..].iter().map(|f| f.act));
+        assumptions
     }
 
     fn solve(&mut self, assumptions: &[SatLit]) -> SatResult {
@@ -519,11 +551,10 @@ impl<'a> Pdr<'a> {
 
         let mut assumptions = self.frame_assumptions(fi);
         assumptions.push(t);
-        let primed: Vec<SatLit> = cube
-            .iter()
-            .map(|&(pos, val)| self.state_lit(pos, val, true))
-            .collect();
-        assumptions.extend_from_slice(&primed);
+        let primed_start = assumptions.len();
+        for &(pos, val) in cube {
+            assumptions.push(self.state_lit(pos, val, true));
+        }
 
         let result = match self.solve(&assumptions) {
             SatResult::Sat => {
@@ -539,17 +570,30 @@ impl<'a> Pdr<'a> {
                 RelQuery::Pred(pred, inputs)
             }
             SatResult::Unsat => {
-                let core = self.unroller.unsat_core().to_vec();
+                // Every primed literal indexes `core_marks`; the core's
+                // other literals (activation literals) never match one.
+                let core = self.unroller.unsat_core();
+                for l in core {
+                    if let Some(mark) = self.core_marks.get_mut(l.index()) {
+                        *mark = true;
+                    }
+                }
                 let kept: Cube = cube
                     .iter()
-                    .zip(&primed)
-                    .filter(|&(_, sl)| core.contains(sl))
+                    .zip(&assumptions[primed_start..])
+                    .filter(|&(_, sl)| self.core_marks[sl.index()])
                     .map(|(&entry, _)| entry)
                     .collect();
+                for l in core {
+                    if let Some(mark) = self.core_marks.get_mut(l.index()) {
+                        *mark = false;
+                    }
+                }
                 RelQuery::Blocked(kept)
             }
             SatResult::Interrupted => RelQuery::Interrupted,
         };
+        self.assumptions = assumptions;
         // Retire the temporary clause for good.
         self.unroller.add_clause(&[t.negate()]);
         result
@@ -563,15 +607,7 @@ impl<'a> Pdr<'a> {
                 Node::False => Some(false),
                 Node::Input => inputs.get(self.node_pos[idx]).copied(),
                 Node::Latch => latches.get(self.node_pos[idx]).copied().flatten(),
-                Node::And(a, b) => {
-                    let va = self.lit3(a);
-                    let vb = self.lit3(b);
-                    match (va, vb) {
-                        (Some(false), _) | (_, Some(false)) => Some(false),
-                        (Some(true), Some(true)) => Some(true),
-                        _ => None,
-                    }
-                }
+                Node::And(a, b) => and3(self.lit3(a), self.lit3(b)),
             };
         }
     }
@@ -582,13 +618,7 @@ impl<'a> Pdr<'a> {
 
     /// `true` when every `(lit, expected)` target is determined to its
     /// expected value under the current ternary valuation.
-    fn targets_hold(
-        &mut self,
-        latches: &[Option<bool>],
-        inputs: &[bool],
-        targets: &[(Lit, bool)],
-    ) -> bool {
-        self.eval3(latches, inputs);
+    fn targets_determined(&self, targets: &[(Lit, bool)]) -> bool {
         targets
             .iter()
             .all(|&(lit, expected)| self.lit3(lit) == Some(expected))
@@ -596,11 +626,70 @@ impl<'a> Pdr<'a> {
 
     /// Greedily widens a concrete state into a cube by dropping latch
     /// literals that the targets do not depend on (inputs stay concrete).
+    ///
+    /// Latches are tried in position order; each drop is kept when every
+    /// target stays determined with that latch and all earlier dropped
+    /// ones at X.  The concrete state is simulated once, after which a
+    /// drop re-evaluates only the gates its X reaches.
     fn lift(&mut self, state: Vec<bool>, inputs: &[bool], targets: &[(Lit, bool)]) -> Cube {
+        let concrete: Vec<Option<bool>> = state.iter().map(|&v| Some(v)).collect();
+        self.eval3(&concrete, inputs);
+        let mut cube = Cube::new();
+        for (pos, &val) in state.iter().enumerate() {
+            if !self.try_drop(pos, targets) {
+                cube.push((pos, val));
+            }
+        }
+        cube
+    }
+
+    /// Sets latch `pos` to X in the ternary valuation and re-evaluates its
+    /// transitive AND fanout in node order, recomputing only gates with a
+    /// changed fanin.  Keeps the new valuation and returns `true` when
+    /// every target stays determined; otherwise restores the old one from
+    /// the undo log and returns `false`.
+    fn try_drop(&mut self, pos: usize, targets: &[(Lit, bool)]) -> bool {
+        let latch = self.latch_nodes[pos];
+        self.lift_undo.clear();
+        self.lift_undo.push((latch, self.val3[latch]));
+        self.val3[latch] = None;
+        self.lift_changed[latch] = true;
+        for &(gate, a, b) in &self.fanout[self.fanout_start[pos]..self.fanout_start[pos + 1]] {
+            if !self.lift_changed[a.node()] && !self.lift_changed[b.node()] {
+                continue;
+            }
+            let value = and3(self.lit3(a), self.lit3(b));
+            if value != self.val3[gate] {
+                self.lift_undo.push((gate, self.val3[gate]));
+                self.val3[gate] = value;
+                self.lift_changed[gate] = true;
+            }
+        }
+        let holds = self.targets_determined(targets);
+        for &(node, old) in &self.lift_undo {
+            self.lift_changed[node] = false;
+            if !holds {
+                self.val3[node] = old;
+            }
+        }
+        holds
+    }
+
+    /// The full-sweep lift the incremental [`Pdr::lift`] replaced: one
+    /// complete ternary simulation per tried latch.  Kept as the
+    /// differential oracle of the lifting tests.
+    #[cfg(test)]
+    fn lift_full_sweep(
+        &mut self,
+        state: &[bool],
+        inputs: &[bool],
+        targets: &[(Lit, bool)],
+    ) -> Cube {
         let mut kept: Vec<Option<bool>> = state.iter().map(|&v| Some(v)).collect();
         for pos in 0..kept.len() {
             kept[pos] = None;
-            if !self.targets_hold(&kept, inputs, targets) {
+            self.eval3(&kept, inputs);
+            if !self.targets_determined(targets) {
                 kept[pos] = Some(state[pos]);
             }
         }
@@ -869,12 +958,11 @@ impl<'a> Pdr<'a> {
 
     fn run(&mut self) -> PdrResult {
         // Depth 0: a bad initial state is a one-frame counterexample.
-        let init_assumptions = {
-            let mut a = self.frame_assumptions(0);
-            a.push(self.bad0);
-            a
-        };
-        match self.solve(&init_assumptions) {
+        let mut init_assumptions = self.frame_assumptions(0);
+        init_assumptions.push(self.bad0);
+        let init_result = self.solve(&init_assumptions);
+        self.assumptions = init_assumptions;
+        match init_result {
             SatResult::Sat => {
                 let inputs: Vec<bool> = self
                     .input_f0
@@ -906,7 +994,9 @@ impl<'a> Pdr<'a> {
                 let frontier = self.frames.len() - 1;
                 let mut assumptions = self.frame_assumptions(frontier);
                 assumptions.push(self.bad0);
-                match self.solve(&assumptions) {
+                let result = self.solve(&assumptions);
+                self.assumptions = assumptions;
+                match result {
                     SatResult::Unsat => break,
                     SatResult::Interrupted => return PdrResult::Interrupted,
                     SatResult::Sat => {
@@ -949,6 +1039,45 @@ impl<'a> Pdr<'a> {
             }
         }
     }
+}
+
+/// Ternary AND: false when either side is false, true when both are true,
+/// X otherwise.
+fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    match (a, b) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+/// The transitive AND fanout of each latch in `latches`, as compressed rows
+/// `(start, gates)`: latch `pos` reaches the gates
+/// `gates[start[pos]..start[pos + 1]]`, each listed once with its fanins,
+/// in ascending node order (the AIG's topological order).
+fn latch_fanout(aig: &Aig, latches: &[usize]) -> (Vec<usize>, Vec<(usize, Lit, Lit)>) {
+    let mut reached = vec![false; aig.num_nodes()];
+    let mut start = Vec::with_capacity(latches.len() + 1);
+    let mut gates = Vec::new();
+    start.push(0);
+    for &latch in latches {
+        reached[latch] = true;
+        let row = gates.len();
+        for idx in latch + 1..aig.num_nodes() {
+            if let Node::And(a, b) = aig.node(idx) {
+                if reached[a.node()] || reached[b.node()] {
+                    reached[idx] = true;
+                    gates.push((idx, a, b));
+                }
+            }
+        }
+        reached[latch] = false;
+        for &(gate, _, _) in &gates[row..] {
+            reached[gate] = false;
+        }
+        start.push(gates.len());
+    }
+    (start, gates)
 }
 
 /// `a` subsumes `b` when every literal of `a` occurs in `b` (so `¬a ⇒ ¬b`).
@@ -1179,5 +1308,90 @@ mod tests {
             frames_explored: 1,
         };
         assert!(!bogus_init.certify(&model, Lit::FALSE));
+    }
+
+    /// A literal of `lits` chosen by `r`, inverted on its low bit.
+    fn pick(lits: &[Lit], r: u64) -> Lit {
+        let lit = lits[(r >> 1) as usize % lits.len()];
+        if r & 1 == 1 {
+            lit.invert()
+        } else {
+            lit
+        }
+    }
+
+    #[test]
+    fn incremental_lift_matches_the_full_sweep_oracle() {
+        // Random AIGs (latches interleaved with gates and inputs), random
+        // concrete states and inputs, and random target sets — mostly at
+        // their concrete values, sometimes one at the opposite value so no
+        // latch can be dropped.  Consecutive lifts share one `Pdr`, so
+        // scratch state left behind by a lift would show up in the next.
+        let mut rng: u64 = 0x11F7_0DD5_2C3A;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut kept, mut dropped) = (0usize, 0usize);
+        for _ in 0..300 {
+            let mut aig = Aig::new();
+            let mut lits = vec![Lit::FALSE];
+            let mut latches = Vec::new();
+            for step in 0..10 + next() % 60 {
+                match next() % 8 {
+                    0 => lits.push(aig.add_input(format!("i{step}"))),
+                    1 | 2 => {
+                        let latch = aig.add_latch(format!("l{step}"), next() % 2 == 0);
+                        latches.push(latch);
+                        lits.push(latch);
+                    }
+                    _ => {
+                        let (a, b) = (pick(&lits, next()), pick(&lits, next()));
+                        lits.push(aig.and(a, b));
+                    }
+                }
+            }
+            if latches.is_empty() {
+                let latch = aig.add_latch("l", false);
+                latches.push(latch);
+                lits.push(latch);
+            }
+            for &latch in &latches {
+                let next_state = pick(&lits, next());
+                aig.set_latch_next(latch, next_state);
+            }
+            let model = Model::new(aig);
+            let options = PdrOptions::default();
+            let mut pdr = Pdr::new(
+                &model,
+                Lit::FALSE,
+                &options,
+                SolverConfig::default(),
+                Interrupt::none(),
+            );
+            for _ in 0..8 {
+                let state: Vec<bool> = latches.iter().map(|_| next() % 2 == 0).collect();
+                let inputs: Vec<bool> = (0..model.aig.num_inputs())
+                    .map(|_| next() % 2 == 0)
+                    .collect();
+                let concrete: Vec<Option<bool>> = state.iter().map(|&v| Some(v)).collect();
+                pdr.eval3(&concrete, &inputs);
+                let targets: Vec<(Lit, bool)> = (0..1 + next() % 4)
+                    .map(|_| {
+                        let target = pick(&lits, next());
+                        let value = pdr.lit3(target).expect("concrete simulation is total");
+                        (target, value != (next() % 10 == 0))
+                    })
+                    .collect();
+                let oracle = pdr.lift_full_sweep(&state, &inputs, &targets);
+                let incremental = pdr.lift(state.clone(), &inputs, &targets);
+                assert_eq!(incremental, oracle, "targets {targets:?}, state {state:?}");
+                kept += oracle.len();
+                dropped += state.len() - oracle.len();
+            }
+        }
+        assert!(kept > 0 && dropped > 0, "kept {kept}, dropped {dropped}");
     }
 }

@@ -69,7 +69,9 @@ impl SatLit {
         SatLit(self.0 ^ 1)
     }
 
-    fn index(self) -> usize {
+    /// Dense literal index (`2·var + negated`), used for watch lists and
+    /// the per-literal value array.
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -353,12 +355,12 @@ struct PoolHandle {
     pending: Vec<(Vec<SatLit>, u32)>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Assign {
-    Unassigned,
-    True,
-    False,
-}
+/// Per-literal truth values, indexed by [`SatLit::index`]: a literal and
+/// its complement always hold opposite values (or are both unassigned), so
+/// reading a literal's value is one byte load with no polarity arithmetic.
+const L_TRUE: i8 = 1;
+const L_FALSE: i8 = -1;
+const L_UNDEF: i8 = 0;
 
 #[derive(Debug, Clone)]
 struct Clause {
@@ -375,11 +377,31 @@ struct Clause {
 ///
 /// `pos[v]` is the heap slot of `v` (or `NOT_IN_HEAP`), so membership tests
 /// and re-heapify-on-bump are O(1)/O(log n) — replacing the previous lazy
-/// `BinaryHeap` of stale entries and its O(n) fallback scan.
+/// `BinaryHeap` of stale entries and its O(n) fallback scan.  Each slot
+/// carries its variable's activity next to the variable, so sifting
+/// compares keys in the slots it already touches instead of chasing each
+/// variable into the solver's activity array.  The owner keeps every key
+/// bit-identical to that array: [`VarHeap::bumped`] takes the new activity
+/// and [`VarHeap::rescale`] applies the same multiplication the array gets.
 #[derive(Debug, Clone, Default)]
 struct VarHeap {
-    heap: Vec<Var>,
+    heap: Vec<HeapSlot>,
     pos: Vec<usize>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct HeapSlot {
+    act: f64,
+    var: Var,
+}
+
+impl HeapSlot {
+    /// Max-heap order: higher activity first, ties broken toward the lower
+    /// variable index (a strict total order, so the pop sequence depends
+    /// only on the keys and runs are deterministic).
+    fn less(self, other: HeapSlot) -> bool {
+        self.act < other.act || (self.act == other.act && self.var > other.var)
+    }
 }
 
 const NOT_IN_HEAP: usize = usize::MAX;
@@ -393,73 +415,79 @@ impl VarHeap {
         self.pos[v] != NOT_IN_HEAP
     }
 
-    /// Max-heap order: higher activity first, ties broken toward the lower
-    /// variable index (a total order, so runs are deterministic).
-    fn less(a: Var, b: Var, act: &[f64]) -> bool {
-        act[a] < act[b] || (act[a] == act[b] && a > b)
-    }
-
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i]] = i;
-        self.pos[self.heap[j]] = j;
-    }
-
-    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+    fn sift_up(&mut self, mut i: usize) {
+        let slot = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if Self::less(self.heap[parent], self.heap[i], act) {
-                self.swap(i, parent);
-                i = parent;
-            } else {
+            if !self.heap[parent].less(slot) {
                 break;
             }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i].var] = i;
+            i = parent;
         }
+        self.heap[i] = slot;
+        self.pos[slot.var] = i;
     }
 
-    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+    fn sift_down(&mut self, mut i: usize) {
+        let slot = self.heap[i];
+        let len = self.heap.len();
         loop {
             let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut largest = i;
-            if l < self.heap.len() && Self::less(self.heap[largest], self.heap[l], act) {
-                largest = l;
-            }
-            if r < self.heap.len() && Self::less(self.heap[largest], self.heap[r], act) {
-                largest = r;
-            }
-            if largest == i {
+            if l >= len {
                 break;
             }
-            self.swap(i, largest);
-            i = largest;
+            let r = l + 1;
+            let child = if r < len && self.heap[l].less(self.heap[r]) {
+                r
+            } else {
+                l
+            };
+            if !slot.less(self.heap[child]) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i].var] = i;
+            i = child;
         }
+        self.heap[i] = slot;
+        self.pos[slot.var] = i;
     }
 
-    fn insert(&mut self, v: Var, act: &[f64]) {
+    fn insert(&mut self, v: Var, act: f64) {
         if self.contains(v) {
             return;
         }
         self.pos[v] = self.heap.len();
-        self.heap.push(v);
-        self.sift_up(self.heap.len() - 1, act);
+        self.heap.push(HeapSlot { act, var: v });
+        self.sift_up(self.heap.len() - 1);
     }
 
-    /// Restores heap order after `v`'s activity increased.
-    fn bumped(&mut self, v: Var, act: &[f64]) {
+    /// Sets `v`'s key to `act` (an increase) and restores heap order.
+    fn bumped(&mut self, v: Var, act: f64) {
         if self.contains(v) {
-            self.sift_up(self.pos[v], act);
+            let i = self.pos[v];
+            self.heap[i].act = act;
+            self.sift_up(i);
         }
     }
 
-    fn pop_max(&mut self, act: &[f64]) -> Option<Var> {
-        let top = *self.heap.first()?;
+    /// Multiplies every key by `factor`: the activity rescale, applied to
+    /// the keys exactly as to the activity array.
+    fn rescale(&mut self, factor: f64) {
+        for slot in &mut self.heap {
+            slot.act *= factor;
+        }
+    }
+
+    fn pop_max(&mut self) -> Option<Var> {
+        let top = self.heap.first()?.var;
         self.pos[top] = NOT_IN_HEAP;
         let last = self.heap.pop().expect("non-empty heap");
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.pos[last] = 0;
-            self.sift_down(0, act);
+            self.sift_down(0);
         }
         Some(top)
     }
@@ -486,7 +514,9 @@ pub struct Solver {
     clauses: Vec<Clause>,
     /// watches[lit.index()] = clause indices watching that literal.
     watches: Vec<Vec<usize>>,
-    assigns: Vec<Assign>,
+    /// Truth value per literal (`L_TRUE`/`L_FALSE`/`L_UNDEF`), indexed by
+    /// [`SatLit::index`]; maintained by `enqueue` and `backtrack`.
+    vals: Vec<i8>,
     /// Decision level at which each variable was assigned.
     levels: Vec<usize>,
     /// Clause that implied each variable (by index), usize::MAX for decisions.
@@ -618,14 +648,7 @@ impl Solver {
     /// Adds `boost` activity-increment units to `var`'s VSIDS activity so
     /// early decisions favour it (the cross-property seeding hook).
     pub fn boost_activity(&mut self, var: Var, boost: f64) {
-        self.activity[var] += self.act_inc * boost;
-        if self.activity[var] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.act_inc *= 1e-100;
-        }
-        self.order.bumped(var, &self.activity);
+        self.add_activity(var, self.act_inc * boost);
     }
 
     /// Number of variables allocated so far.
@@ -647,7 +670,8 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let v = self.num_vars;
         self.num_vars += 1;
-        self.assigns.push(Assign::Unassigned);
+        self.vals.push(L_UNDEF);
+        self.vals.push(L_UNDEF);
         self.levels.push(0);
         self.reasons.push(NO_REASON);
         self.activity.push(0.0);
@@ -656,7 +680,7 @@ impl Solver {
         self.watches.push(Vec::new());
         self.seen.push(false);
         self.order.grow();
-        self.order.insert(v, &self.activity);
+        self.order.insert(v, 0.0);
         v
     }
 
@@ -810,10 +834,9 @@ impl Solver {
     }
 
     fn lit_value(&self, lit: SatLit) -> Option<bool> {
-        match self.assigns[lit.var()] {
-            Assign::Unassigned => None,
-            Assign::True => Some(lit.is_positive()),
-            Assign::False => Some(!lit.is_positive()),
+        match self.vals[lit.index()] {
+            L_UNDEF => None,
+            v => Some(v == L_TRUE),
         }
     }
 
@@ -821,11 +844,7 @@ impl Solver {
     ///
     /// Returns `None` if the variable was irrelevant (never assigned).
     pub fn value(&self, var: Var) -> Option<bool> {
-        match self.assigns[var] {
-            Assign::Unassigned => None,
-            Assign::True => Some(true),
-            Assign::False => Some(false),
-        }
+        self.lit_value(SatLit::pos(var))
     }
 
     fn decision_level(&self) -> usize {
@@ -833,16 +852,13 @@ impl Solver {
     }
 
     fn enqueue(&mut self, lit: SatLit, reason: usize) -> bool {
-        match self.lit_value(lit) {
-            Some(true) => true,
-            Some(false) => false,
-            None => {
+        match self.vals[lit.index()] {
+            L_TRUE => true,
+            L_FALSE => false,
+            _ => {
                 let v = lit.var();
-                self.assigns[v] = if lit.is_positive() {
-                    Assign::True
-                } else {
-                    Assign::False
-                };
+                self.vals[lit.index()] = L_TRUE;
+                self.vals[lit.negate().index()] = L_FALSE;
                 self.levels[v] = self.decision_level();
                 self.reasons[v] = reason;
                 self.phase[v] = lit.is_positive();
@@ -863,34 +879,24 @@ impl Solver {
             let mut i = 0;
             while i < watchers.len() {
                 let ci = watchers[i];
+                let lits = &mut self.clauses[ci].lits;
                 // Ensure the falsified literal is in position 1.
-                let (w0, w1) = {
-                    let c = &mut self.clauses[ci];
-                    if c.lits[0] == falsified {
-                        c.lits.swap(0, 1);
-                    }
-                    (c.lits[0], c.lits[1])
-                };
-                debug_assert_eq!(w1, falsified);
+                if lits[0] == falsified {
+                    lits.swap(0, 1);
+                }
+                let w0 = lits[0];
+                debug_assert_eq!(lits[1], falsified);
                 // If the other watched literal is true, the clause is satisfied.
-                if self.lit_value(w0) == Some(true) {
+                if self.vals[w0.index()] == L_TRUE {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let cand = self.clauses[ci].lits[k];
-                    if self.lit_value(cand) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[cand.index()].push(ci);
-                        watchers.swap_remove(i);
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                if let Some(k) = (2..lits.len()).find(|&k| self.vals[lits[k].index()] != L_FALSE) {
+                    let cand = lits[k];
+                    lits.swap(1, k);
+                    self.watches[cand.index()].push(ci);
+                    watchers.swap_remove(i);
                     continue;
                 }
                 // Clause is unit or conflicting.
@@ -907,14 +913,21 @@ impl Solver {
     }
 
     fn bump_activity(&mut self, var: Var) {
-        self.activity[var] += self.act_inc;
+        self.add_activity(var, self.act_inc);
+    }
+
+    /// Raises `var`'s activity by `inc`, rescaling every activity (and the
+    /// heap keys with them) by 1e-100 once it passes 1e100.
+    fn add_activity(&mut self, var: Var, inc: f64) {
+        self.activity[var] += inc;
         if self.activity[var] > 1e100 {
             for a in &mut self.activity {
                 *a *= 1e-100;
             }
+            self.order.rescale(1e-100);
             self.act_inc *= 1e-100;
         }
-        self.order.bumped(var, &self.activity);
+        self.order.bumped(var, self.activity[var]);
     }
 
     fn decay_activities(&mut self) {
@@ -1178,23 +1191,34 @@ impl Solver {
             while self.trail.len() > start {
                 let lit = self.trail.pop().expect("trail entry");
                 let v = lit.var();
-                self.assigns[v] = Assign::Unassigned;
+                self.vals[lit.index()] = L_UNDEF;
+                self.vals[lit.negate().index()] = L_UNDEF;
                 self.reasons[v] = NO_REASON;
-                self.order.insert(v, &self.activity);
+                self.order.insert(v, self.activity[v]);
             }
         }
         self.qhead = self.trail.len();
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v] == Assign::Unassigned {
+        while let Some(v) = self.order.pop_max() {
+            if self.vals[SatLit::pos(v).index()] == L_UNDEF {
                 return Some(v);
             }
         }
-        // Every unassigned variable sits in the heap by construction; the
-        // scan is pure insurance against an invariant slip.
-        (0..self.num_vars).find(|&v| self.assigns[v] == Assign::Unassigned)
+        // Every unassigned variable sits in the heap by construction, so an
+        // empty heap means a full assignment (every variable is on the trail
+        // exactly once).  The scan only answers an invariant slip, which
+        // debug builds report instead.
+        debug_assert_eq!(
+            self.trail.len(),
+            self.num_vars,
+            "an unassigned variable is missing from the decision heap"
+        );
+        if self.trail.len() == self.num_vars {
+            return None;
+        }
+        (0..self.num_vars).find(|&v| self.vals[SatLit::pos(v).index()] == L_UNDEF)
     }
 
     /// Garbage-collects the clause database at decision level 0.
@@ -2270,6 +2294,70 @@ mod tests {
                     }));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn var_heap_pops_in_activity_then_index_order() {
+        // Random insert / bump / rescale / pop sequences, with activities
+        // bumped by small whole numbers so ties are frequent: every pop must
+        // return the variable a reference sort by (activity descending,
+        // index ascending) puts first among those inside, and the final
+        // drain must pop in exactly that sorted order.  At most two
+        // rescales per round keep every key far above the subnormal range,
+        // where the 1e-100 product could merge distinct keys (in the solver
+        // as here: keys and activities always take the same product).
+        let mut state: u64 = 0x5EED_0F4E_A9C3;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let reference = |act: &[f64], inside: &[bool]| -> Vec<Var> {
+            let mut vars: Vec<Var> = (0..act.len()).filter(|&v| inside[v]).collect();
+            vars.sort_by(|&a, &b| act[b].total_cmp(&act[a]).then(a.cmp(&b)));
+            vars
+        };
+        for _ in 0..300 {
+            let n = 1 + (next() % 40) as usize;
+            let mut heap = VarHeap::default();
+            let mut act = vec![0.0f64; n];
+            let mut inside = vec![false; n];
+            let mut rescales = 0;
+            for _ in 0..n {
+                heap.grow();
+            }
+            for _ in 0..200 {
+                let v = (next() % n as u64) as usize;
+                match next() % 6 {
+                    0 | 1 => {
+                        heap.insert(v, act[v]);
+                        inside[v] = true;
+                    }
+                    2 | 3 => {
+                        act[v] += (next() % 3) as f64;
+                        heap.bumped(v, act[v]);
+                    }
+                    4 if rescales < 2 => {
+                        rescales += 1;
+                        for a in &mut act {
+                            *a *= 1e-100;
+                        }
+                        heap.rescale(1e-100);
+                    }
+                    _ => {
+                        let expected = reference(&act, &inside).first().copied();
+                        assert_eq!(heap.pop_max(), expected);
+                        if let Some(top) = expected {
+                            inside[top] = false;
+                        }
+                    }
+                }
+            }
+            let order = reference(&act, &inside);
+            let popped: Vec<Var> = std::iter::from_fn(|| heap.pop_max()).collect();
+            assert_eq!(popped, order);
         }
     }
 }

@@ -27,7 +27,7 @@ const GOLDEN: &str = include_str!("../crates/designs/golden/opt_fingerprints.txt
 /// pin test then fails until `opt::OPT_VERSION` is bumped with it, so a
 /// spill file written by an older optimizer never replays into models
 /// that a cold run would no longer produce.
-const GOLDEN_PIN: (u32, u64) = (1, 0x93b5_feaf_6653_a69f);
+const GOLDEN_PIN: (u32, u64) = (2, 0x26a0_833f_3c2e_a3f1);
 
 /// The optimizer's output for `model`, as `optimize` returns it.
 fn optimized(model: &Model) -> Model {

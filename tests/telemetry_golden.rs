@@ -9,14 +9,21 @@
 //! Durations, worker ids and gauges live in the `"timing"` section of the
 //! full report and are deliberately absent here.
 //!
+//! A second golden pins the `solver.*` counters of that subset for every
+//! corpus run (`crates/designs/golden/solver_counters.txt`).  Conflicts,
+//! propagations and restarts count every decision the SAT solver makes, so
+//! a change that is meant only to make the solver or PDR cheaper per query
+//! must leave this file untouched; any change to the search shows up here.
+//!
 //! [`TelemetryReport::deterministic_json`]: autosva_formal::telemetry::TelemetryReport::deterministic_json
 
 use autosva_bench::{build_testbench, default_check_options};
-use autosva_designs::{by_id, Variant};
+use autosva_designs::{all_cases, by_id, Variant};
 use autosva_formal::checker::{verify, CheckOptions, VerificationReport};
 use autosva_formal::telemetry::validate_chrome_trace;
 
 const GOLDEN: &str = include_str!("../crates/designs/golden/telemetry_A1.json");
+const SOLVER_GOLDEN: &str = include_str!("../crates/designs/golden/solver_counters.txt");
 
 /// Runs corpus case A1 (fixed variant) through the full front end and
 /// cascade with telemetry enabled.  Going through [`verify`] rather than
@@ -119,6 +126,59 @@ fn file_sinks_write_both_documents() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One line per corpus run (every case, both variants where the case has
+/// a bug parameter) and `solver.*` counter: `id variant counter value`,
+/// from a sequential telemetry-on run with the evaluation harness options.
+fn corpus_solver_counters() -> String {
+    let mut out = String::from("# id variant counter value\n");
+    for case in all_cases() {
+        let variants: &[Variant] = if case.has_bug_parameter {
+            &[Variant::Fixed, Variant::Buggy]
+        } else {
+            &[Variant::Fixed]
+        };
+        for &variant in variants {
+            let ft = build_testbench(&case);
+            let mut options = default_check_options(&case, variant);
+            options.parallel.threads = 1;
+            options.telemetry.enabled = true;
+            let report = verify(case.source, &ft, &options).expect("corpus case verifies");
+            let telemetry = report.telemetry.as_ref().expect("telemetry attached");
+            let variant_name = match variant {
+                Variant::Fixed => "fixed",
+                Variant::Buggy => "buggy",
+            };
+            for (name, value) in &telemetry.counters {
+                if name.starts_with("solver.") {
+                    out.push_str(&format!("{} {variant_name} {name} {value}\n", case.id));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn solver_counters_match_the_golden() {
+    let actual = corpus_solver_counters();
+    if actual != SOLVER_GOLDEN {
+        let diff: Vec<String> = SOLVER_GOLDEN
+            .lines()
+            .zip(actual.lines())
+            .filter(|(want, got)| want != got)
+            .map(|(want, got)| format!("  golden {want}\n  actual {got}"))
+            .collect();
+        panic!(
+            "solver counters drifted from crates/designs/golden/solver_counters.txt \
+             ({} vs {} lines); a change meant to keep the search identical \
+             changed a solver decision:\n{}",
+            SOLVER_GOLDEN.lines().count(),
+            actual.lines().count(),
+            diff.join("\n")
+        );
+    }
+}
+
 /// Regenerates `crates/designs/golden/telemetry_A1.json` in place.  Run
 /// after an intentional taxonomy or counter change:
 ///
@@ -135,4 +195,21 @@ fn regenerate_golden() {
         "/crates/designs/golden/telemetry_A1.json"
     );
     std::fs::write(path, telemetry.deterministic_json()).expect("write golden");
+}
+
+/// Regenerates `crates/designs/golden/solver_counters.txt` in place.  Run
+/// only after a change that is meant to alter the solver's search or the
+/// models it searches (the elaborated corpus, the optimizer):
+///
+/// ```sh
+/// cargo test --release --test telemetry_golden -- --ignored regenerate_solver_golden
+/// ```
+#[test]
+#[ignore = "writes the golden file; run explicitly to regenerate"]
+fn regenerate_solver_golden() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/designs/golden/solver_counters.txt"
+    );
+    std::fs::write(path, corpus_solver_counters()).expect("write golden");
 }
